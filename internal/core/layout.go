@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gfs/internal/units"
 )
@@ -34,19 +35,59 @@ var NilBlock = BlockRef{NSD: -1, Block: -1}
 
 // Allocator hands out block slots on one NSD using a bitmap with a
 // next-fit hint, the moral equivalent of a GPFS allocation-map segment.
+// The bitmap is stored in chunks of allocChunkWords words that are
+// allocated on first set: a nil chunk means every slot in it is free, so a
+// large, mostly empty NSD costs memory only for the regions it has used.
 type Allocator struct {
-	words []uint64
-	total int64
-	used  int64
-	hint  int64
+	chunks [][]uint64
+	total  int64
+	used   int64
+	hint   int64
 }
+
+// allocChunkWords is the bitmap chunk size in 64-bit words (65536 slots).
+const allocChunkWords = 1024
 
 // NewAllocator returns an allocator with the given number of slots.
 func NewAllocator(blocks int64) *Allocator {
 	if blocks <= 0 {
 		panic(fmt.Sprintf("core: allocator size %d", blocks))
 	}
-	return &Allocator{words: make([]uint64, (blocks+63)/64), total: blocks}
+	words := (blocks + 63) / 64
+	return &Allocator{
+		chunks: make([][]uint64, (words+allocChunkWords-1)/allocChunkWords),
+		total:  blocks,
+	}
+}
+
+// word returns bitmap word w; an untouched chunk reads as all free.
+func (a *Allocator) word(w int64) uint64 {
+	c := a.chunks[w/allocChunkWords]
+	if c == nil {
+		return 0
+	}
+	return c[w%allocChunkWords]
+}
+
+// set ORs mask into bitmap word w, allocating its chunk on first touch.
+// The last chunk is sized to the words the slot count needs.
+func (a *Allocator) set(w int64, mask uint64) {
+	ci := w / allocChunkWords
+	c := a.chunks[ci]
+	if c == nil {
+		c = make([]uint64, min(allocChunkWords, (a.total+63)/64-ci*allocChunkWords))
+		a.chunks[ci] = c
+	}
+	c[w%allocChunkWords] |= mask
+}
+
+// runMask clips the run of n slots starting at slot i to the bitmap word
+// holding i: it returns that word, the mask of the run's slots in it, and
+// how many slots (k) the mask covers.
+func runMask(i, n int64) (w int64, mask uint64, k int64) {
+	b := i % 64
+	k = min(64-b, n)
+	return i / 64, (^uint64(0) >> (64 - k)) << b, k
 }
 
 // Total returns the slot count.
@@ -67,14 +108,15 @@ func (a *Allocator) Alloc() (int64, bool) {
 	for scanned := int64(0); scanned < a.total; scanned++ {
 		i := (a.hint + scanned) % a.total
 		w, b := i/64, uint(i%64)
-		if a.words[w]&(1<<b) == 0 {
-			a.words[w] |= 1 << b
+		word := a.word(w)
+		if word&(1<<b) == 0 {
+			a.set(w, 1<<b)
 			a.used++
 			a.hint = i + 1
 			return i, true
 		}
 		// Skip whole full words for speed.
-		if b == 0 && a.words[w] == ^uint64(0) {
+		if b == 0 && word == ^uint64(0) {
 			scanned += 63
 		}
 	}
@@ -103,22 +145,35 @@ func (a *Allocator) AllocRun(n, align int64) (int64, bool) {
 		if i+n > a.total {
 			continue
 		}
-		free := true
-		for j := int64(0); j < n; j++ {
-			if a.IsAllocated(i + j) {
-				free = false
-				break
-			}
-		}
-		if !free {
+		if j, used := a.runConflict(i, n); used {
+			// Every later aligned start up to j overlaps slot j as
+			// well, so skip them. j < total, so the skip never passes
+			// the wrap back to slot 0.
+			s += (j - i) / align
 			continue
 		}
-		for j := int64(0); j < n; j++ {
-			a.words[(i+j)/64] |= 1 << uint((i+j)%64)
+		for j := i; j < i+n; {
+			w, mask, k := runMask(j, i+n-j)
+			a.set(w, mask)
+			j += k
 		}
 		a.used += n
 		a.hint = i + n
 		return i, true
+	}
+	return 0, false
+}
+
+// runConflict tests slots [i, i+n) a bitmap word at a time. It returns
+// false when they are all free, else the last allocated slot in the first
+// word that has one.
+func (a *Allocator) runConflict(i, n int64) (int64, bool) {
+	for j := i; j < i+n; {
+		w, mask, k := runMask(j, i+n-j)
+		if used := a.word(w) & mask; used != 0 {
+			return w*64 + 63 - int64(bits.LeadingZeros64(used)), true
+		}
+		j += k
 	}
 	return 0, false
 }
@@ -128,7 +183,7 @@ func (a *Allocator) IsAllocated(i int64) bool {
 	if i < 0 || i >= a.total {
 		return false
 	}
-	return a.words[i/64]&(1<<uint(i%64)) != 0
+	return a.word(i/64)&(1<<uint(i%64)) != 0
 }
 
 // Free releases a slot; releasing a free slot panics (double free is a
@@ -138,10 +193,10 @@ func (a *Allocator) Release(i int64) {
 		panic(fmt.Sprintf("core: release of slot %d outside [0,%d)", i, a.total))
 	}
 	w, b := i/64, uint(i%64)
-	if a.words[w]&(1<<b) == 0 {
+	if a.word(w)&(1<<b) == 0 {
 		panic(fmt.Sprintf("core: double free of slot %d", i))
 	}
-	a.words[w] &^= 1 << b
+	a.chunks[w/allocChunkWords][w%allocChunkWords] &^= 1 << b
 	a.used--
 	if i < a.hint {
 		a.hint = i

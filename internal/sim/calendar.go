@@ -7,6 +7,14 @@ package sim
 // over the O(log n) heap at the 10k+ pending events a 1024-node run keeps
 // in flight.
 //
+// A day width fitted to one phase of a run goes stale in the next (set-up
+// traffic spaced in milliseconds, then a timed phase spaced in
+// microseconds piles hundreds of events into each bucket). Inserts
+// therefore count how many queued events they shift; when the average
+// over a window exceeds calendarMaxShift and the estimated width is off
+// by calendarRecalRatio or more, the calendar re-buckets at the same
+// bucket count with the fresh width.
+//
 // Determinism: the calendar dispatches the exact (when, seq) total order —
 // a bucket is a sorted list and the cursor scan always finds the globally
 // minimal event — so traces are byte-identical to the heap scheduler's.
@@ -21,6 +29,11 @@ type calendarScheduler struct {
 	top     Time   // exclusive end of cur's current day window
 	min     *Event // cached head; nil = unknown (rescan on next peek)
 
+	// Recalibration window: inserts since the last check and the queued
+	// events those inserts shifted.
+	inserts int
+	shifted int
+
 	whens []Time // scratch for width estimation at resize
 }
 
@@ -30,6 +43,16 @@ const (
 	// calendarInitWidth is the day length before the first resize
 	// calibrates one from observed event spacing.
 	calendarInitWidth = Millisecond
+
+	// calendarRecalEvery is the recalibration window in inserts;
+	// calendarMaxShift is the average shift per insert that triggers a
+	// width check, and calendarRecalRatio the factor by which the
+	// estimate must differ from the current width before re-bucketing.
+	// Without that hysteresis a run whose spacing hovers near a boundary
+	// re-buckets every window.
+	calendarRecalEvery = 1024
+	calendarMaxShift   = 4
+	calendarRecalRatio = 2
 )
 
 // NewCalendarScheduler returns an empty calendar-queue scheduler.
@@ -71,6 +94,22 @@ func (cq *calendarScheduler) Push(e *Event) {
 	}
 	if cq.n > 2*len(cq.buckets) && len(cq.buckets) < calendarMaxBuckets {
 		cq.resize(2 * len(cq.buckets))
+	} else if cq.inserts >= calendarRecalEvery {
+		cq.recalibrate()
+	}
+}
+
+// recalibrate closes a recalibration window and re-buckets at the same
+// bucket count if the day width has gone stale.
+func (cq *calendarScheduler) recalibrate() {
+	avg := cq.shifted / cq.inserts
+	cq.inserts, cq.shifted = 0, 0
+	if avg <= calendarMaxShift {
+		return
+	}
+	w := cq.estimateWidth(cq.buckets)
+	if w*calendarRecalRatio <= cq.width || w >= calendarRecalRatio*cq.width {
+		cq.rebucket(len(cq.buckets), w)
 	}
 }
 
@@ -93,6 +132,8 @@ func (cq *calendarScheduler) insert(e *Event) {
 			}
 		}
 	}
+	cq.inserts++
+	cq.shifted += len(b) - lo
 	b = append(b, nil)
 	copy(b[lo+1:], b[lo:])
 	b[lo] = e
@@ -186,8 +227,14 @@ func (cq *calendarScheduler) unlink(e *Event) {
 // resize rebuilds the calendar with count buckets and a day width
 // recalibrated from the current population's event spacing.
 func (cq *calendarScheduler) resize(count int) {
+	cq.rebucket(count, cq.estimateWidth(cq.buckets))
+}
+
+// rebucket redistributes every queued event over count buckets of the
+// given width and opens a fresh recalibration window.
+func (cq *calendarScheduler) rebucket(count int, width Time) {
 	old := cq.buckets
-	cq.width = cq.estimateWidth(old)
+	cq.width = width
 	cq.setBuckets(count)
 	cq.n = 0
 	cq.min = nil
@@ -200,6 +247,7 @@ func (cq *calendarScheduler) resize(count int) {
 			cq.insert(e)
 		}
 	}
+	cq.inserts, cq.shifted = 0, 0
 }
 
 // estimateWidth picks a day length from the median gap between adjacent

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -296,4 +297,114 @@ func TestPropertyResourceMakespan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStaleWakeOnReusedWorker: a process that finished hands its worker to
+// the next process; a stale wake aimed at the finished one must not resume
+// the new owner early.
+func TestStaleWakeOnReusedWorker(t *testing.T) {
+	s := New()
+	var stale func()
+	var first, second *worker
+	s.Go("a", func(p *Proc) {
+		first = p.w
+		stale = p.Suspend() // never blocks: a finishes with a wake handed out
+	})
+	var woke Time = -1
+	b := s.Go("b", func(p *Proc) {
+		second = p.w
+		p.Sleep(Second)
+		woke = p.Now()
+	})
+	s.Schedule(Millisecond, func() { stale() })
+	s.Run()
+	if first == nil || first != second {
+		t.Fatalf("b did not reuse a's worker (%p vs %p)", first, second)
+	}
+	if woke != Second || !b.Done() {
+		t.Fatalf("b woke at %v (done=%v), want 1s: the stale wake resumed it", woke, b.Done())
+	}
+}
+
+// TestKillReturnsWorkerToIdle: a process killed before it starts never
+// takes a worker, and one killed while parked unwinds and gives its worker
+// back; Run then releases the idle pool.
+func TestKillReturnsWorkerToIdle(t *testing.T) {
+	s := New()
+	ran := false
+	early := s.Go("early", func(*Proc) { ran = true })
+	early.Kill()
+	parked := s.Go("parked", func(p *Proc) {
+		p.Sleep(10 * Second)
+		ran = true
+	})
+	s.Go("killer", func(p *Proc) {
+		p.Sleep(Second)
+		parked.Kill()
+	})
+	idle := -1
+	s.Schedule(2*Second, func() { idle = len(s.idle) })
+	s.Run()
+	if ran {
+		t.Fatal("a killed process ran past its kill point")
+	}
+	if !early.Done() || !parked.Done() {
+		t.Fatalf("done: early=%v parked=%v", early.Done(), parked.Done())
+	}
+	if idle != 2 {
+		t.Fatalf("idle workers after the kills = %d, want 2 (parked's and killer's)", idle)
+	}
+	if len(s.idle) != 0 {
+		t.Fatalf("Run left %d idle workers", len(s.idle))
+	}
+}
+
+// TestNestedWakeFromProcess: Resource.Release wakes the next waiter
+// directly from the releasing process, so the waiter runs (and parks
+// again) before the releaser's next statement.
+func TestNestedWakeFromProcess(t *testing.T) {
+	s := New()
+	r := NewResource(s, "r", 1)
+	var order []string
+	s.Go("holder", func(p *Proc) {
+		r.Acquire(p, 1)
+		p.Sleep(Second)
+		r.Release(1)
+		order = append(order, "holder-after-release")
+		p.Sleep(Second)
+		order = append(order, "holder-done")
+	})
+	s.Go("waiter", func(p *Proc) {
+		r.Acquire(p, 1)
+		order = append(order, "waiter-acquired")
+		p.Sleep(Second / 2)
+		order = append(order, "waiter-woke")
+		r.Release(1)
+	})
+	s.Run()
+	want := []string{"waiter-acquired", "holder-after-release", "waiter-woke", "holder-done"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestProcPanicSurfacesFromRun: a panic other than the internal kill
+// unwinds out of the process's coroutine and out of Run, where the caller
+// can recover it.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	s := New()
+	s.Go("bad", func(p *Proc) {
+		p.Sleep(Second)
+		panic("boom")
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+		if s.Now() != Second {
+			t.Fatalf("panic surfaced at %v, want 1s", s.Now())
+		}
+	}()
+	s.Run()
+	t.Fatal("Run returned normally")
 }

@@ -117,6 +117,111 @@ func TestCalendarResizeChurn(t *testing.T) {
 	}
 }
 
+// phaseWorkload starts 256 self-renewing timers spaced in milliseconds on
+// s. The returned func cancels and re-spaces them in microseconds: the
+// set-up to timed-phase shift that leaves a calibrated day width stale
+// while the queue length stays put. Dispatches are appended to trace
+// unless it is nil.
+func phaseWorkload(s *Sim, seed int64, trace *[]string) (toMicro func()) {
+	rng := rand.New(rand.NewSource(seed))
+	unit := Millisecond
+	evs := make([]*Event, 256)
+	fire := make([]func(), len(evs))
+	for i := range fire {
+		i := i
+		fire[i] = func() {
+			if trace != nil {
+				*trace = append(*trace, fmt.Sprintf("%d:%d", int64(s.Now()), i))
+			}
+			evs[i] = s.Schedule(Time(rng.Intn(256)+1)*unit, fire[i])
+		}
+		evs[i] = s.Schedule(Time(rng.Intn(256)+1)*unit, fire[i])
+	}
+	return func() {
+		unit = Microsecond
+		for i, e := range evs {
+			e.Cancel()
+			evs[i] = s.Schedule(Time(rng.Intn(256)+1)*unit, fire[i])
+		}
+	}
+}
+
+// TestCalendarRecalibratesOnPhaseChange: after an ms to µs phase change
+// every insert lands in one stale day; the calendar must notice the shift
+// work, re-bucket at the same bucket count with a µs width, and then keep
+// inserts cheap.
+func TestCalendarRecalibratesOnPhaseChange(t *testing.T) {
+	cq := NewCalendarScheduler().(*calendarScheduler)
+	s := NewWith(cq)
+	toMicro := phaseWorkload(s, 5, nil)
+	for i := 0; i < 4*calendarRecalEvery; i++ {
+		s.Step()
+	}
+	msWidth, buckets := cq.width, len(cq.buckets)
+	if msWidth < Millisecond/4 {
+		t.Fatalf("ms phase calibrated width %v, want ms scale", msWidth)
+	}
+	toMicro()
+	cq.inserts, cq.shifted = 0, 0
+	for i := 0; i < calendarRecalEvery/2; i++ {
+		s.Step()
+	}
+	if avg := cq.shifted / cq.inserts; avg < 8*calendarMaxShift {
+		t.Fatalf("stale width shifted only %d events per insert; the test no longer provokes recalibration", avg)
+	}
+	for i := 0; i < 2*calendarRecalEvery; i++ {
+		s.Step()
+	}
+	if cq.width*100 > msWidth {
+		t.Fatalf("width %v after the phase change, want µs scale (was %v)", cq.width, msWidth)
+	}
+	if len(cq.buckets) != buckets {
+		t.Fatalf("recalibration changed the bucket count %d -> %d", buckets, len(cq.buckets))
+	}
+	// Steady phase: the µs width holds across later windows, and each window
+	// averages at most calendarMaxShift shifts per insert.
+	usWidth := cq.width
+	for w := 0; w < 8; w++ {
+		for cq.inserts < calendarRecalEvery-1 {
+			s.Step()
+		}
+		if avg := cq.shifted / cq.inserts; avg > calendarMaxShift {
+			t.Fatalf("window %d: %d shifts per insert after recalibration", w, avg)
+		}
+		s.Step()
+	}
+	if cq.width != usWidth {
+		t.Fatalf("width flapped %v -> %v in a steady phase", usWidth, cq.width)
+	}
+}
+
+// TestSchedulerDifferentialPhaseChange: recalibration re-buckets but must
+// not move a single dispatch relative to the heap.
+func TestSchedulerDifferentialPhaseChange(t *testing.T) {
+	run := func(sched Scheduler) []string {
+		s := NewWith(sched)
+		var got []string
+		toMicro := phaseWorkload(s, 9, &got)
+		for i := 0; i < 5000; i++ {
+			s.Step()
+		}
+		toMicro()
+		for i := 0; i < 20000; i++ {
+			s.Step()
+		}
+		return got
+	}
+	heapGot, calGot := run(NewHeapScheduler()), run(NewCalendarScheduler())
+	if len(heapGot) != len(calGot) {
+		t.Fatalf("heap fired %d events, calendar %d", len(heapGot), len(calGot))
+	}
+	for i := range heapGot {
+		if heapGot[i] != calGot[i] {
+			t.Fatalf("dispatch diverges at %d: heap %q, calendar %q", i, heapGot[i], calGot[i])
+		}
+	}
+}
+
 // TestArmReuse re-arms one embedded event many times, with interleaved
 // cancels, and checks each firing lands at the right instant.
 func TestArmReuse(t *testing.T) {

@@ -124,6 +124,12 @@ type Sim struct {
 	// number of in-flight pooled events, not the run length.
 	free []*Event
 
+	// idle pools the coroutines of finished processes for reuse by Go. It
+	// is bounded by the peak number of live processes and emptied when Run
+	// or RunUntil returns, so a finished simulation leaves no idle
+	// coroutines behind.
+	idle []*worker
+
 	// tracer receives typed virtual-time events from every layer built on
 	// this kernel; nil (the default) disables recording at the cost of one
 	// branch per instrumentation site.
@@ -325,7 +331,10 @@ func (s *Sim) Step() bool {
 // queue, or Stop is called. Daemons scheduled at the drain instant
 // still fire — a sampler tick coincident with the last real event
 // closes its final window — but time never advances for daemons alone.
+// A panic in a process body (other than Kill's internal unwind)
+// propagates out of Run.
 func (s *Sim) Run() {
+	defer s.releaseIdle()
 	s.stopped = false
 	for !s.stopped {
 		if s.sched.Len() <= s.daemons {
@@ -342,6 +351,7 @@ func (s *Sim) Run() {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (s *Sim) RunUntil(t Time) {
+	defer s.releaseIdle()
 	s.stopped = false
 	for !s.stopped {
 		when, ok := s.sched.PeekWhen()
