@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gfs/internal/metrics"
 	"gfs/internal/netsim"
@@ -377,7 +378,7 @@ func (m *Mount) meta(p *sim.Proc, op metaOp) netsim.Response {
 func (m *Mount) metaCall(p *sim.Proc, op metaOp) netsim.Response {
 	if n := len(m.info.Shards); n > 0 {
 		if k := metaRoute(n, op); k >= 0 && !m.shardDown[k] {
-			resp := m.c.EP.Call(p, m.info.Shards[k], shardSvcName(metaService, k, m.fsName), 192, op)
+			resp := m.c.EP.Call(p, m.info.Shards[k], m.info.Svc.ShardMeta[k], 192, op)
 			if !shardUnavailable(resp.Err) {
 				m.shardMetaOps++
 				return resp
@@ -386,7 +387,7 @@ func (m *Mount) metaCall(p *sim.Proc, op metaOp) netsim.Response {
 			m.shardFallbacks++
 		}
 	}
-	return m.c.EP.Call(p, m.info.Manager, metaService+"."+m.fsName, 192, op)
+	return m.c.EP.Call(p, m.info.Manager, m.info.Svc.Meta, 192, op)
 }
 
 // Create makes a new file.
@@ -512,7 +513,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayloa
 		}
 	}
 
-	m.c.EP.GoDeadline(callCtx, srv.EP, nsdService+"."+m.fsName, reqSize, pl, pol.Deadline, func(r netsim.Response) {
+	m.c.EP.GoDeadline(callCtx, srv.EP, m.info.Svc.NSD, reqSize, pl, pol.Deadline, func(r netsim.Response) {
 		done := m.c.sim.Now()
 		if probing && tr != nil {
 			result := "up"
@@ -597,7 +598,7 @@ func (m *Mount) Unmount(p *sim.Proc) error {
 			return fmt.Errorf("core: unmount: %w", ErrDirtyPages)
 		}
 	}
-	resp := m.c.EP.Call(p, m.info.Manager, tokenService+"."+m.fsName, 128,
+	resp := m.c.EP.Call(p, m.info.Manager, m.info.Svc.Token, 128,
 		tokenOp{Op: "unmount", Cluster: m.c.cluster.Name, Client: m.c.id})
 	if resp.Err != nil {
 		return resp.Err
@@ -651,7 +652,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 	routed := false
 	if n := len(m.info.Shards); n > 0 {
 		if k := inodeShard(n, ino); !m.shardDown[k] {
-			resp = m.c.EP.Call(p, m.info.Shards[k], shardSvcName(tokenService, k, m.fsName), 128, op)
+			resp = m.c.EP.Call(p, m.info.Shards[k], m.info.Svc.ShardToken[k], 128, op)
 			routed = !shardUnavailable(resp.Err)
 			if routed {
 				m.shardTokenAcquires++
@@ -662,7 +663,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 		}
 	}
 	if !routed {
-		resp = m.c.EP.Call(p, m.info.Manager, tokenService+"."+m.fsName, 128, op)
+		resp = m.c.EP.Call(p, m.info.Manager, m.info.Svc.Token, 128, op)
 	}
 	if tr != nil {
 		p.SetCtx(prev)
@@ -919,7 +920,7 @@ func (pp *pagePool) pagesOf(ino int64) []*page {
 			out = append(out, pg)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key.idx < out[j].key.idx })
+	slices.SortFunc(out, cmpPageIdx)
 	return out
 }
 
@@ -930,13 +931,19 @@ func (pp *pagePool) allPages() []*page {
 	for _, pg := range pp.pages {
 		out = append(out, pg)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.ino != out[j].key.ino {
-			return out[i].key.ino < out[j].key.ino
-		}
-		return out[i].key.idx < out[j].key.idx
-	})
+	slices.SortFunc(out, cmpPageKey)
 	return out
+}
+
+// cmpPageIdx orders one inode's pages by block index.
+func cmpPageIdx(a, b *page) int { return cmp.Compare(a.key.idx, b.key.idx) }
+
+// cmpPageKey orders pages by (inode, block index).
+func cmpPageKey(a, b *page) int {
+	if c := cmp.Compare(a.key.ino, b.key.ino); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key.idx, b.key.idx)
 }
 
 func (pp *pagePool) invalidate(ino int64, start, end, bs units.Bytes) {

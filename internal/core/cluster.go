@@ -88,11 +88,20 @@ func (c *Cluster) FS(name string) *FileSystem { return c.fss[name] }
 // can serve several filesystems.
 func (fs *FileSystem) svc(base string) string { return base + "." + fs.Name }
 
+// svcNames are a filesystem's qualified service names for its per-call
+// traffic. The filesystem builds them once, registers its handlers under
+// them and hands them to every mount in its mountInfo, so no client builds
+// a name per call.
+type svcNames struct {
+	Meta, Token, NSD      string
+	ShardMeta, ShardToken []string // indexed by shard
+}
+
 // AddServer registers a node as an NSD server for this filesystem
 // (mmcrnsd assigns NSDs to it via AddNSD).
 func (fs *FileSystem) AddServer(name string, node *netsim.Node, conns int) *NSDServer {
 	srv := &NSDServer{fs: fs, Name: name, EP: fs.cluster.Net.NewEndpoint(node, conns)}
-	srv.EP.Handle(fs.svc(nsdService), srv.serve)
+	srv.EP.Handle(fs.names.NSD, srv.serve)
 	fs.servers = append(fs.servers, srv)
 	return srv
 }
@@ -103,8 +112,8 @@ func (fs *FileSystem) SetManager(node *netsim.Node, conns int) *netsim.Endpoint 
 		panic(fmt.Sprintf("core: %s already has a manager", fs.Name))
 	}
 	fs.mgr = fs.cluster.Net.NewEndpoint(node, conns)
-	fs.mgr.Handle(fs.svc(metaService), fs.serveMeta)
-	fs.mgr.Handle(fs.svc(tokenService), fs.serveToken)
+	fs.mgr.Handle(fs.names.Meta, fs.serveMeta)
+	fs.mgr.Handle(fs.names.Token, fs.serveToken)
 	fs.mgr.Handle(fs.svc(mountService), fs.serveMount)
 	return fs.mgr
 }

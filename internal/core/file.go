@@ -110,7 +110,12 @@ func (f *File) ensureAlloc(p *sim.Proc, upto int64) error {
 		return resp.Err
 	}
 	refs, _ := resp.Payload.([]BlockRef)
-	f.layout = append(f.layout, refs...)
+	if len(f.layout) == 0 {
+		// allocBlocks returned a fresh slice nobody else keeps: adopt it.
+		f.layout = refs
+	} else {
+		f.layout = append(f.layout, refs...)
+	}
 	return nil
 }
 

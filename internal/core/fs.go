@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,6 +68,7 @@ type FileSystem struct {
 	nsds    []*NSD
 	servers []*NSDServer
 	mgr     *netsim.Endpoint // metadata + token manager
+	names   svcNames         // qualified service names, shared with every mount
 
 	inodes    map[int64]*Inode
 	nextInode int64
@@ -140,6 +142,7 @@ type mountInfo struct {
 	StripeW   []units.Bytes // each NSD's RAID stripe width (0 = unknown/none)
 	Manager   *netsim.Endpoint
 	Shards    []*netsim.Endpoint // metadata/token shard endpoints (nil = unsharded)
+	Svc       svcNames           // service names to call the manager, shards and NSD servers by
 }
 
 // newFileSystem is invoked via Cluster.CreateFS.
@@ -149,6 +152,11 @@ func newFileSystem(c *Cluster, name string, blockSize units.Bytes) *FileSystem {
 		Name:      name,
 		BlockSize: blockSize,
 		cluster:   c,
+		names: svcNames{
+			Meta:  metaService + "." + name,
+			Token: tokenService + "." + name,
+			NSD:   nsdService + "." + name,
+		},
 		inodes:    make(map[int64]*Inode),
 		nextInode: 2,
 		tokens:    newTokenTable(),
@@ -270,7 +278,36 @@ func (fs *FileSystem) checkClusterAccess(cluster string, op disk.Op) error {
 // duplicate segments. Relative paths are interpreted from the root, and
 // ".." never escapes it. The normalization is idempotent (fuzzed in
 // FuzzPath).
-func cleanPath(p string) string { return path.Clean("/" + p) }
+func cleanPath(p string) string {
+	if isCleanAbs(p) {
+		return p
+	}
+	return path.Clean("/" + p)
+}
+
+// isCleanAbs reports whether p is already in cleanPath's canonical form,
+// so the common case returns its argument without building a new string.
+func isCleanAbs(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if len(p) < 2 || p[0] != '/' || p[len(p)-1] == '/' {
+		return false
+	}
+	// Every segment between slashes must be non-empty and neither "." nor "..".
+	for i := 1; i < len(p); {
+		j := strings.IndexByte(p[i:], '/')
+		if j < 0 {
+			j = len(p) - i
+		}
+		seg := p[i : i+j]
+		if seg == "" || seg == "." || seg == ".." {
+			return false
+		}
+		i += j + 1
+	}
+	return true
+}
 
 // resolve walks a path to an inode.
 func (fs *FileSystem) resolve(p string) (*Inode, error) {
@@ -279,7 +316,12 @@ func (fs *FileSystem) resolve(p string) (*Inode, error) {
 	if p == "/" {
 		return cur, nil
 	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for rest := p[1:]; ; {
+		part := rest
+		j := strings.IndexByte(rest, '/')
+		if j >= 0 {
+			part = rest[:j]
+		}
 		if !cur.Dir {
 			return nil, fmt.Errorf("core: %s: %w", cur.Name, ErrNotDir)
 		}
@@ -288,8 +330,11 @@ func (fs *FileSystem) resolve(p string) (*Inode, error) {
 			return nil, fmt.Errorf("core: %s: %w", p, ErrNotExist)
 		}
 		cur = fs.inodes[num]
+		if j < 0 {
+			return cur, nil
+		}
+		rest = rest[j+1:]
 	}
-	return cur, nil
 }
 
 // parentOf finds the directory containing an inode (the root is its own
@@ -318,7 +363,9 @@ func (fs *FileSystem) resolveParent(p string) (*Inode, string, error) {
 	if base == "" {
 		return nil, "", fmt.Errorf("core: cannot operate on root")
 	}
-	parent, err := fs.resolve(dir)
+	// dir is p's prefix with a trailing slash; resolve the prefix without
+	// it (the root stays "/"), which is already clean.
+	parent, err := fs.resolve(p[:max(len(dir)-1, 1)])
 	if err != nil {
 		return nil, "", err
 	}
@@ -613,6 +660,9 @@ func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard)
 	if g < 1 {
 		g = 1
 	}
+	if need := from + count - int64(len(ino.Blocks)); need > 0 {
+		ino.Blocks = slices.Grow(ino.Blocks, int(need))
+	}
 	for int64(len(ino.Blocks)) < from+count {
 		idx := int64(len(ino.Blocks))
 		first := striper.NSDFor(idx)
@@ -657,9 +707,9 @@ func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard)
 		}
 		ino.Blocks = append(ino.Blocks, ref)
 	}
-	out := make([]BlockRef, count)
-	copy(out, ino.Blocks[from:from+count])
-	return out, nil
+	// The caller gets its own copy: ino.Blocks keeps growing and shrinking
+	// in place, and nothing else holds the returned slice.
+	return slices.Clone(ino.Blocks[from : from+count]), nil
 }
 
 // freeBlocks releases block slots beyond index keep and clears content.
@@ -717,7 +767,7 @@ func (fs *FileSystem) serveMount(p *sim.Proc, req *netsim.Request) netsim.Respon
 		Payload: mountInfo{
 			FS: fs.Name, BlockSize: fs.BlockSize, NSDs: len(fs.nsds),
 			Servers: servers, Backups: backups, StripeW: stripeW, Manager: fs.mgr,
-			Shards: shardEPs,
+			Shards: shardEPs, Svc: fs.names,
 		},
 	}
 }

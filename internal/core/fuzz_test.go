@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,7 +16,8 @@ import (
 // FuzzPath fuzzes the path normalization every metadata operation runs
 // through, plus resolve on a live filesystem: normalization must be
 // total (no panics), idempotent, and always yield a rooted path with no
-// ".."/"."/empty segments; ".." must never escape the root.
+// ".."/"."/empty segments; ".." must never escape the root. The fast path
+// for already-clean input must agree with path.Clean exactly.
 func FuzzPath(f *testing.F) {
 	for _, s := range []string{
 		"", "/", ".", "..", "a", "/a/b/c", "a//b", "../../x", "/a/../b",
@@ -30,6 +32,9 @@ func FuzzPath(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, p string) {
 		c := cleanPath(p)
+		if want := path.Clean("/" + p); c != want {
+			t.Fatalf("cleanPath(%q) = %q, want path.Clean's %q", p, c, want)
+		}
 		if !strings.HasPrefix(c, "/") {
 			t.Fatalf("cleanPath(%q) = %q: not rooted", p, c)
 		}

@@ -114,8 +114,11 @@ func (fs *FileSystem) SetTokenShards(n int) {
 			regions: make([]allocRegion, len(fs.nsds)),
 		}
 		sh.EP = sh.home.EP
-		sh.EP.Handle(shardSvcName(metaService, k, fs.Name), sh.serveMeta)
-		sh.EP.Handle(shardSvcName(tokenService, k, fs.Name), sh.serveToken)
+		meta, token := shardSvcName(metaService, k, fs.Name), shardSvcName(tokenService, k, fs.Name)
+		sh.EP.Handle(meta, sh.serveMeta)
+		sh.EP.Handle(token, sh.serveToken)
+		fs.names.ShardMeta = append(fs.names.ShardMeta, meta)
+		fs.names.ShardToken = append(fs.names.ShardToken, token)
 		fs.shards = append(fs.shards, sh)
 	}
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"gfs/internal/netsim"
 	"gfs/internal/sim"
@@ -140,14 +143,17 @@ func (t *tokenTable) insert(inode int64, holder string, start, end units.Bytes, 
 		out = append(out, r)
 	}
 	out = append(out, heldRange{start, end, mode, holder})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Holder < out[j].Holder
-	})
+	slices.SortFunc(out, cmpHeldRange)
 	t.byInode[inode] = out
 	t.grants++
+}
+
+// cmpHeldRange orders a token list by (Start, Holder).
+func cmpHeldRange(a, b heldRange) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Holder, b.Holder)
 }
 
 // dropHolder releases every token a client holds (unmount / eviction).

@@ -45,7 +45,12 @@ type Conn struct {
 	oneWay sim.Time
 	rtt    sim.Time
 
+	// queue[qhead:] are the undelivered messages, head first. Delivery
+	// advances qhead instead of reslicing, so the backing array survives
+	// a drain and is reused by the next burst. (int32 packs it beside
+	// active, keeping Conn in its allocation size class.)
 	queue       []*message
+	qhead       int32
 	active      bool
 	actIdx      int     // index in Network.activeList, -1 when inactive
 	rate        float64 // bytes/sec currently allocated
@@ -149,7 +154,7 @@ func (c *Conn) updateRateCap() {
 }
 
 // Queued returns the number of undelivered messages.
-func (c *Conn) Queued() int { return len(c.queue) }
+func (c *Conn) Queued() int { return len(c.queue) - int(c.qhead) }
 
 // Send queues size bytes for delivery; onDelivered (optional) fires at the
 // virtual instant the last byte arrives at the destination. Must be called
@@ -182,6 +187,15 @@ func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 	if size == 0 {
 		m.size, m.remaining = 1, 1 // headers are never free
 	}
+	if len(c.queue) == cap(c.queue) && c.qhead > 0 && 2*int(c.qhead) >= len(c.queue) {
+		// Full, and at least half of it a delivered prefix: compact in
+		// place rather than grow. (Compacting a smaller prefix would copy
+		// the whole live queue on nearly every send.)
+		n := copy(c.queue, c.queue[c.qhead:])
+		clear(c.queue[n:])
+		c.queue = c.queue[:n]
+		c.qhead = 0
+	}
 	c.queue = append(c.queue, m)
 	if !c.active {
 		c.activate()
@@ -206,7 +220,7 @@ func (c *Conn) activate() {
 	}
 	c.active = true
 	c.lastAdvance = now
-	c.queue[0].started = now
+	c.queue[c.qhead].started = now
 	tol := nw.SolveTolerance > 0
 	for i, l := range c.path {
 		c.linkPos[i] = int32(len(l.conns))
@@ -346,8 +360,8 @@ func (c *Conn) advance(now sim.Time) {
 	}
 	credit := c.rate * (now - c.lastAdvance).Seconds()
 	c.lastAdvance = now
-	for len(c.queue) > 0 {
-		head := c.queue[0]
+	for int(c.qhead) < len(c.queue) {
+		head := c.queue[c.qhead]
 		if head.remaining > credit+rateEps {
 			head.remaining -= credit
 			return
@@ -360,8 +374,13 @@ func (c *Conn) advance(now sim.Time) {
 
 func (c *Conn) deliverHead(now sim.Time) {
 	nw := c.net
-	head := c.queue[0]
-	c.queue = c.queue[1:]
+	head := c.queue[c.qhead]
+	c.queue[c.qhead] = nil
+	c.qhead++
+	if int(c.qhead) == len(c.queue) {
+		c.queue = c.queue[:0]
+		c.qhead = 0
+	}
 	// Any pending completion event refers to the delivered message; drop
 	// it so a skipped reschedule can never fire it for the next one.
 	if c.completionEvt.Queued() {
@@ -385,7 +404,7 @@ func (c *Conn) deliverHead(now sim.Time) {
 		tr.SpanCtx(head.ctx, 0, "flow", "xfer", c.src.name+"->"+c.dst.name,
 			int64(head.enq), int64(now+c.oneWay),
 			trace.I("bytes", int64(head.size)),
-			trace.I("queued", int64(len(c.queue))),
+			trace.I("queued", int64(c.Queued())),
 			trace.I("queue_ns", int64(head.started-head.enq)),
 			trace.I("xmit_ns", int64(now-head.started)),
 			trace.I("prop_ns", int64(c.oneWay)))
@@ -400,17 +419,17 @@ func (c *Conn) deliverHead(now sim.Time) {
 		nw.Sim.Post(kindDeliver, c.oneWay, cb)
 	}
 	nw.freeMessage(head)
-	if len(c.queue) == 0 {
+	if c.Queued() == 0 {
 		c.deactivate()
 	} else {
-		c.queue[0].started = now
+		c.queue[c.qhead].started = now
 	}
 }
 
 // scheduleCompletion arranges the event at which the head message finishes
 // at the current rate.
 func (c *Conn) scheduleCompletion() {
-	if !c.active || len(c.queue) == 0 || c.rate <= 0 {
+	if !c.active || c.Queued() == 0 || c.rate <= 0 {
 		if c.completionEvt.Queued() {
 			c.completionEvt.Cancel()
 		}
@@ -422,7 +441,7 @@ func (c *Conn) scheduleCompletion() {
 	// re-arm it every nanosecond instead. Park the conn: don't arm at all
 	// beyond the horizon. Any future solve or placement that gives it a
 	// real rate reschedules it.
-	ns := c.queue[0].remaining / c.rate * 1e9
+	ns := c.queue[c.qhead].remaining / c.rate * 1e9
 	if ns > completionHorizon {
 		if c.completionEvt.Queued() {
 			c.completionEvt.Cancel()

@@ -51,6 +51,7 @@ type Network struct {
 	tieLinks   []*Link
 	boundLinks []*Link // boundary links of the current local solve
 	msgFree    []*message
+	callFree   []*rpcCall // recycled RPC call records (rpc.go)
 
 	routesDirty bool
 	dist        [][]int32 // dist[dst.id][n.id] = hops from n to dst, -1 unreachable

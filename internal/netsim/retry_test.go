@@ -49,6 +49,11 @@ func TestDeadlineExpiresAndDiscardsLateResponse(t *testing.T) {
 	if at != 100*sim.Millisecond {
 		t.Errorf("deadline fired at %v, want 100ms", at)
 	}
+	// The discarded late response still returned its call record.
+	if n := len(client.net.callFree); n != 1 {
+		t.Errorf("free list = %d call records after the late response, want 1", n)
+	}
+	checkPool(t, client.net)
 }
 
 func TestGoRetrySucceedsAfterTransientFailures(t *testing.T) {
