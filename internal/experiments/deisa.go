@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"gfs/internal/auth"
 	"gfs/internal/core"
 	"gfs/internal/metrics"
@@ -125,5 +123,3 @@ func RunDEISA(cfg DEISAConfig) *Result {
 	res.Note("paper: >100 MB/s on every pairing — the 1 Gb/s WAN is the only limit")
 	return res
 }
-
-var _ = fmt.Sprintf

@@ -5,7 +5,6 @@ import (
 
 	"gfs/internal/auth"
 	"gfs/internal/core"
-	"gfs/internal/disk"
 	"gfs/internal/metrics"
 	"gfs/internal/netsim"
 	"gfs/internal/san"
@@ -233,6 +232,3 @@ func RunANL(cfg ANLConfig) *Result {
 	res.Note("paper: ~1.2 GB/s to all 32 ANL nodes over the TeraGrid")
 	return res
 }
-
-// ensure disk import is used even if configs change.
-var _ = disk.SATA250

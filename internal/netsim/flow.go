@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"gfs/internal/sim"
 	"gfs/internal/trace"
@@ -73,7 +75,7 @@ type Conn struct {
 	// mode placement (flow arrival or window bump awaiting a rate).
 	dirtyQ bool
 
-	// completionEvt/bumpEvt are caller-owned reusable events (sim.Arm):
+	// completionEvt/bumpEvt are caller-owned reusable events (sim.Rearm):
 	// the hottest timers in the simulator re-arm with zero allocation.
 	completionEvt sim.Event
 	bumpEvt       sim.Event
@@ -300,15 +302,16 @@ func (c *Conn) deactivate() {
 	}
 }
 
-// scheduleBump arranges the next slow-start window doubling.
+// scheduleBump arranges the next slow-start window doubling, or cancels a
+// pending one once the window is at its maximum.
 func (c *Conn) scheduleBump() {
-	if c.bumpEvt.Queued() {
-		c.bumpEvt.Cancel()
-	}
 	if c.tcp.MaxWindow <= 0 || c.rtt <= 0 || c.cwnd >= float64(c.tcp.MaxWindow) {
+		if c.bumpEvt.Queued() {
+			c.bumpEvt.Cancel()
+		}
 		return
 	}
-	c.net.Sim.Arm(&c.bumpEvt, kindBump, c.rtt, c.bumpFn)
+	c.net.Sim.Rearm(&c.bumpEvt, kindBump, c.rtt, c.bumpFn)
 }
 
 // bump doubles the congestion window — a changed cap invalidates the
@@ -461,17 +464,16 @@ func (c *Conn) scheduleCompletion() {
 			return
 		}
 	}
-	if c.completionEvt.Queued() {
-		c.completionEvt.Cancel()
-	}
 	// Round the completion instant up to a whole nanosecond so a
 	// sub-epsilon float remainder can never re-arm a zero-delay event in
-	// an endless same-timestamp loop.
+	// an endless same-timestamp loop. A pending event is re-keyed in
+	// place (one scheduler operation, same dispatch order as a Cancel and
+	// an Arm).
 	dt := sim.Time(math.Ceil(ns))
 	if dt < 1 {
 		dt = 1
 	}
-	c.net.Sim.Arm(&c.completionEvt, kindCompletion, dt, c.completionFn)
+	c.net.Sim.Rearm(&c.completionEvt, kindCompletion, dt, c.completionFn)
 }
 
 func (nw *Network) onCompletion(c *Conn) {
@@ -792,106 +794,7 @@ func (nw *Network) solveClosure() {
 		l.level = 0 // re-established below if the link turns out to bind
 	}
 
-	// Link-centric water filling. Each round finds the single most
-	// constrained link and settles work at its fair share m; because
-	// fixing a conn at (or below) the minimum share can only raise the
-	// other links' shares, m is non-decreasing across rounds, which
-	// makes two shortcuts exact:
-	//
-	//   - Window-capped conns sort once by cap; a pointer sweeps the
-	//     sorted prefix, fixing every conn whose cap falls below the
-	//     current m. Caps already passed can never bind again.
-	//   - A bottleneck round assigns exactly the conns crossing the min
-	//     link (each gets m, zeroing the link's residual and nActive),
-	//     instead of rescanning every remaining conn's path share.
-	//
-	// Round cost is O(links) + O(conns fixed x path), so a solve is
-	// linear-ish in the component rather than rounds x conns x path —
-	// the term that dominated the from-scratch solver at 1024 nodes.
-	left := len(unassigned)
-	var capHeap []*Conn // built only if a window cap can actually bind
-	ties := nw.tieLinks[:0]
-	for left > 0 {
-		m := math.Inf(1)
-		ties = ties[:0]
-		for _, l := range links {
-			if l.nActive > 0 {
-				if s := l.residual / float64(l.nActive); s < m {
-					m = s
-					ties = append(ties[:0], l)
-				} else if s == m {
-					ties = append(ties, l)
-				}
-			}
-		}
-		if len(ties) == 0 {
-			// No link constraint: should not happen (active conns always
-			// cross >= 1 link), but terminate safely at the window cap.
-			for _, c := range unassigned {
-				if c.solved != epoch {
-					c.solved = epoch
-					nw.assignRate(c, c.rateCap)
-					left--
-				}
-			}
-			break
-		}
-		if minCap <= m {
-			// Some cap binds below the fair share. Heapify on first need:
-			// most solves end with every cap above the water level and
-			// never pay for ordering at all.
-			if capHeap == nil {
-				capHeap = nw.capHeap[:0]
-				capHeap = append(capHeap, unassigned...)
-				for i := len(capHeap)/2 - 1; i >= 0; i-- {
-					capSiftDown(capHeap, i)
-				}
-				nw.capHeap = capHeap[:0]
-			}
-			for len(capHeap) > 0 && capHeap[0].rateCap <= m {
-				c := capHeap[0]
-				n := len(capHeap) - 1
-				capHeap[0] = capHeap[n]
-				capHeap[n] = nil
-				capHeap = capHeap[:n]
-				if n > 1 {
-					capSiftDown(capHeap, 0)
-				}
-				if c.solved == epoch {
-					continue // already drained via a bottleneck link
-				}
-				c.solved = epoch
-				nw.assignRate(c, c.rateCap)
-				left--
-			}
-			minCap = math.Inf(1)
-			if len(capHeap) > 0 {
-				minCap = capHeap[0].rateCap
-			}
-			continue
-		}
-		// Drain the bottlenecks: every unsolved conn crossing a link at
-		// the minimum share gets exactly m (their caps are all above m —
-		// the heap sweep already fixed everything at or below it).
-		// Draining every exactly-tied link in one round matters in
-		// symmetric topologies, where hundreds of identical access links
-		// hit bit-identical shares: fixing a conn at the minimum share
-		// leaves the other tied links' shares at exactly m, so they are
-		// all bottlenecks of the same water level.
-		for _, l := range ties {
-			l.level = m // standing water level for tolerance-mode placement
-			for _, slot := range l.conns {
-				c := slot.c
-				if c.solved == epoch {
-					continue
-				}
-				c.solved = epoch
-				nw.assignRate(c, m)
-				left--
-			}
-		}
-	}
-	nw.tieLinks = ties[:0]
+	nw.waterFill(links, unassigned, minCap)
 
 	// Every component link is now exactly consistent: re-anchor the
 	// tolerance-mode drift baseline at its true load.
@@ -1040,111 +943,11 @@ func (nw *Network) solveLocal() {
 		l.nActive = l.compActive
 	}
 
-	// Water filling over region + boundary links — the same rounds, cap
-	// heap and exact-tie draining as the closure solve (see solveClosure
-	// for the shortcut proofs). Two local differences: boundary links join
-	// the round scan, and the bottleneck drain skips conns outside the
-	// region (a boundary link's conn list mixes both).
+	// Water filling over region + boundary links. Boundary links join the
+	// round scan like region links; waterFill drains a binding boundary
+	// link through its region-crosser list (see there).
 	links = append(links, boundary...)
-	left := len(unassigned)
-	var capHeap []*Conn
-	ties := nw.tieLinks[:0]
-	for left > 0 {
-		m := math.Inf(1)
-		ties = ties[:0]
-		for _, l := range links {
-			if l.nActive > 0 {
-				if s := l.residual / float64(l.nActive); s < m {
-					m = s
-					ties = append(ties[:0], l)
-				} else if s == m {
-					ties = append(ties, l)
-				}
-			}
-		}
-		if len(ties) == 0 {
-			for _, c := range unassigned {
-				if c.solved != epoch {
-					c.solved = epoch
-					nw.assignRate(c, c.rateCap)
-					left--
-				}
-			}
-			break
-		}
-		if minCap <= m {
-			if capHeap == nil {
-				capHeap = nw.capHeap[:0]
-				capHeap = append(capHeap, unassigned...)
-				for i := len(capHeap)/2 - 1; i >= 0; i-- {
-					capSiftDown(capHeap, i)
-				}
-				nw.capHeap = capHeap[:0]
-			}
-			for len(capHeap) > 0 && capHeap[0].rateCap <= m {
-				c := capHeap[0]
-				n := len(capHeap) - 1
-				capHeap[0] = capHeap[n]
-				capHeap[n] = nil
-				capHeap = capHeap[:n]
-				if n > 1 {
-					capSiftDown(capHeap, 0)
-				}
-				if c.solved == epoch {
-					continue
-				}
-				c.solved = epoch
-				nw.assignRate(c, c.rateCap)
-				left--
-			}
-			minCap = math.Inf(1)
-			if len(capHeap) > 0 {
-				minCap = capHeap[0].rateCap
-			}
-			continue
-		}
-		for _, l := range ties {
-			if l.bMark == epoch {
-				// This boundary link bound the region at water level m;
-				// the a-posteriori check compares it to the link's own
-				// standing level and the outside conns' mean rate. Drain
-				// from the region-crosser list built during boundary
-				// discovery — the link's own conn list is mostly outside
-				// conns (a trunk carries thousands) and scanning it per
-				// tie round dominated local-solve cost.
-				if m < l.compLevel {
-					l.compLevel = m
-				}
-				if l.compActive == len(l.conns) {
-					// Every conn crossing this link is in the region, so the
-					// fill is re-rating all of them: the link binds with its
-					// full capacity exactly like a region link, and its
-					// standing level is as trustworthy as theirs.
-					l.level = m
-				}
-				for _, c := range l.compList {
-					if c.solved == epoch {
-						continue
-					}
-					c.solved = epoch
-					nw.assignRate(c, m)
-					left--
-				}
-				continue
-			}
-			l.level = m // region link: new standing level for placement
-			for _, slot := range l.conns {
-				c := slot.c
-				if c.mark != epoch || c.solved == epoch {
-					continue // deactivated during advance, or already done
-				}
-				c.solved = epoch
-				nw.assignRate(c, m)
-				left--
-			}
-		}
-	}
-	nw.tieLinks = ties[:0]
+	nw.waterFill(links, unassigned, minCap)
 
 	// Region links are now exactly consistent: re-anchor their drift
 	// baseline. Boundary links re-anchor below, only if they pass the
@@ -1279,29 +1082,195 @@ func (nw *Network) assignRate(c *Conn, r float64) {
 	c.scheduleCompletion()
 }
 
-// capLess orders conns by window cap, conn ID breaking ties so the
-// heap's pop order (and the solver's float arithmetic) is deterministic.
-func capLess(a, b *Conn) bool {
-	if a.rateCap != b.rateCap {
-		return a.rateCap < b.rateCap
+// waterFill is the link-centric water filling shared by the closure and
+// the local solve: it assigns every conn in unassigned its max-min rate
+// over links, whose residual and nActive the caller has initialised.
+// minCap is at most the smallest window cap in unassigned. Each round finds
+// the most constrained link and settles work at its fair share m; because
+// fixing a conn at (or below) the minimum share can only raise the other
+// links' shares, m is non-decreasing across rounds, which makes three
+// shortcuts exact:
+//
+//   - Cap rounds: once some cap falls at or below m, the unassigned conns'
+//     caps are copied into flat keys (once per solve), and each cap round
+//     moves the keys with cap <= m into a batch, sorts only that batch by
+//     (cap, conn id) and fixes those conns at their caps. A cap passed
+//     once can never bind again, and (cap, id) is a total order, so the
+//     assignment sequence is the one a min-heap over every conn would pop.
+//   - A bottleneck round assigns exactly the conns crossing the min link
+//     (each gets m, zeroing the link's residual and nActive), instead of
+//     rescanning every remaining conn's path share.
+//   - The round scan visits only links that still have unassigned conns:
+//     nActive never rises within a solve, so a drained link is dropped
+//     from the scan list for good. Compaction keeps the list's order, so
+//     tied links are found in the same order as a scan of every link.
+//
+// Round cost is O(live links) + O(conns fixed x path), so a solve is
+// linear-ish in the component rather than rounds x conns x path — the
+// term that dominated the from-scratch solver at 1024 nodes.
+func (nw *Network) waterFill(links []*Link, unassigned []*Conn, minCap float64) {
+	epoch := nw.epoch
+	left := len(unassigned)
+	var keys []capKey // built only if a window cap can actually bind
+	keysBuilt := false
+	ties := nw.tieLinks[:0]
+	// act holds the links that may still have unassigned conns, in links
+	// order; each round's scan compacts the drained ones out in place.
+	act := append(nw.actLinks[:0], links...)
+	for left > 0 {
+		m := math.Inf(1)
+		ties = ties[:0]
+		live := 0
+		for _, l := range act {
+			if l.nActive <= 0 {
+				continue
+			}
+			act[live] = l
+			live++
+			if s := l.residual / float64(l.nActive); s < m {
+				m = s
+				ties = append(ties[:0], l)
+			} else if s == m {
+				ties = append(ties, l)
+			}
+		}
+		act = act[:live]
+		if len(ties) == 0 {
+			// No link constraint: should not happen (active conns always
+			// cross >= 1 link), but terminate safely at the window cap.
+			for _, c := range unassigned {
+				if c.solved != epoch {
+					c.solved = epoch
+					nw.assignRate(c, c.rateCap)
+					left--
+				}
+			}
+			break
+		}
+		if minCap <= m {
+			// Some cap binds below the fair share. Collect the keys on
+			// first need: most solves end with every cap above the water
+			// level and never pay for ordering at all.
+			if !keysBuilt {
+				keysBuilt = true
+				keys = appendCapKeys(nw.capKeys[:0], unassigned, epoch)
+				nw.capKeys = keys[:0]
+			}
+			var due []capKey
+			keys, due, minCap = takeCapped(keys, nw.capDue[:0], m, unassigned, epoch)
+			nw.capDue = due[:0]
+			for _, k := range due {
+				c := unassigned[k.ui]
+				c.solved = epoch
+				nw.assignRate(c, c.rateCap)
+				left--
+			}
+			continue
+		}
+		// Drain the bottlenecks: every unsolved conn crossing a link at
+		// the minimum share gets exactly m (their caps are all above m —
+		// the cap rounds already fixed everything at or below it).
+		// Draining every exactly-tied link in one round matters in
+		// symmetric topologies, where hundreds of identical access links
+		// hit bit-identical shares: fixing a conn at the minimum share
+		// leaves the other tied links' shares at exactly m, so they are
+		// all bottlenecks of the same water level.
+		for _, l := range ties {
+			if l.bMark == epoch {
+				// Boundary link of a local solve (never at SolveTolerance
+				// 0): it bound the region at water level m; the
+				// a-posteriori check compares it to the link's own
+				// standing level and the outside conns' mean rate. Drain
+				// from the region-crosser list built during boundary
+				// discovery — the link's own conn list is mostly outside
+				// conns (a trunk carries thousands) and scanning it per
+				// tie round dominated local-solve cost.
+				if m < l.compLevel {
+					l.compLevel = m
+				}
+				if l.compActive == len(l.conns) {
+					// Every conn crossing this link is in the region, so the
+					// fill is re-rating all of them: the link binds with its
+					// full capacity exactly like a region link, and its
+					// standing level is as trustworthy as theirs.
+					l.level = m
+				}
+				for _, c := range l.compList {
+					if c.solved == epoch {
+						continue
+					}
+					c.solved = epoch
+					nw.assignRate(c, m)
+					left--
+				}
+				continue
+			}
+			l.level = m // standing water level for tolerance-mode placement
+			for _, slot := range l.conns {
+				c := slot.c
+				if c.mark != epoch || c.solved == epoch {
+					continue // not in this solve's conn set, or already done
+				}
+				c.solved = epoch
+				nw.assignRate(c, m)
+				left--
+			}
+		}
 	}
-	return a.id < b.id
+	nw.tieLinks = ties[:0]
+	nw.actLinks = act[:0]
 }
 
-// capSiftDown restores the min-heap property of h rooted at i.
-func capSiftDown(h []*Conn, i int) {
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
+// capKey is one unassigned conn's window cap in a solve's cap rounds: ui
+// indexes the solve's unassigned slice, id (the conn id) breaks cap ties.
+// Flat keys keep the cap scan off the Conn structs.
+type capKey struct {
+	cap    float64
+	id, ui int32
+}
+
+// appendCapKeys appends a key for every conn in unassigned not yet solved
+// in this epoch.
+func appendCapKeys(keys []capKey, unassigned []*Conn, epoch uint32) []capKey {
+	for ui, c := range unassigned {
+		if c.solved != epoch {
+			keys = append(keys, capKey{cap: c.rateCap, id: int32(c.id), ui: int32(ui)})
 		}
-		if r := j + 1; r < len(h) && capLess(h[r], h[j]) {
-			j = r
-		}
-		if !capLess(h[j], h[i]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
 	}
+	return keys
+}
+
+// takeCapped removes every key with cap <= m from keys and appends those
+// whose conn is still unsolved in this epoch to due, sorted by (cap, id);
+// the other keys are compacted in place. It returns the remaining keys,
+// the batch, and the smallest cap left (+Inf if none). A conn already
+// drained through a bottleneck link is dropped here rather than sorted
+// and skipped: on a WAN fleet most conns whose cap the water level
+// passes were fixed at a lower share long before.
+func takeCapped(keys, due []capKey, m float64, unassigned []*Conn, epoch uint32) (rest, batch []capKey, minCap float64) {
+	minCap = math.Inf(1)
+	n := 0
+	for _, k := range keys {
+		if k.cap <= m {
+			if unassigned[k.ui].solved != epoch {
+				due = append(due, k)
+			}
+			continue
+		}
+		if k.cap < minCap {
+			minCap = k.cap
+		}
+		keys[n] = k
+		n++
+	}
+	slices.SortFunc(due, func(a, b capKey) int {
+		if a.cap != b.cap {
+			if a.cap < b.cap {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	return keys[:n], due, minCap
 }

@@ -47,8 +47,10 @@ type Network struct {
 	compLinks  []*Link
 	compConns  []*Conn
 	unassigned []*Conn
-	capHeap    []*Conn
+	capKeys    []capKey // cap-round keys of the current solve
+	capDue     []capKey // the keys one cap round fixes
 	tieLinks   []*Link
+	actLinks   []*Link // water-fill links that still have unassigned conns
 	boundLinks []*Link // boundary links of the current local solve
 	msgFree    []*message
 	callFree   []*rpcCall // recycled RPC call records (rpc.go)

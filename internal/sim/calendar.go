@@ -18,6 +18,8 @@ package sim
 // Determinism: the calendar dispatches the exact (when, seq) total order —
 // a bucket is a sorted list and the cursor scan always finds the globally
 // minimal event — so traces are byte-identical to the heap scheduler's.
+// Buckets, the cursor and the head cache all work on the key an event is
+// filed under (qwhen, qseq); see Scheduler for Moves applied lazily.
 
 // calendarScheduler implements Scheduler with a calendar queue.
 type calendarScheduler struct {
@@ -81,14 +83,20 @@ func (cq *calendarScheduler) dayEnd(t Time) Time {
 }
 
 func (cq *calendarScheduler) Push(e *Event) {
+	e.fileAtKey()
+	cq.push(e, cq.bucketOf(e.qwhen))
+}
+
+// push files e into bucket idx, which must be bucketOf(e.qwhen).
+func (cq *calendarScheduler) push(e *Event, idx int) {
 	// Keep the cursor invariant — no queued event is earlier than the
 	// current day's start — by stepping the cursor back when an event
 	// lands before it.
-	if cq.n == 0 || e.when < cq.top-cq.width {
-		cq.cur = cq.bucketOf(e.when)
-		cq.top = cq.dayEnd(e.when)
+	if cq.n == 0 || e.qwhen < cq.top-cq.width {
+		cq.cur = idx
+		cq.top = cq.dayEnd(e.qwhen)
 	}
-	cq.insert(e)
+	cq.insert(e, idx)
 	if cq.min != nil && eventLess(e, cq.min) {
 		cq.min = e
 	}
@@ -113,9 +121,8 @@ func (cq *calendarScheduler) recalibrate() {
 	}
 }
 
-// insert places e into its bucket in (when, seq) order.
-func (cq *calendarScheduler) insert(e *Event) {
-	idx := cq.bucketOf(e.when)
+// insert places e into bucket idx (bucketOf(e.qwhen)) in order.
+func (cq *calendarScheduler) insert(e *Event, idx int) {
 	b := cq.buckets[idx]
 	// Binary search for the insertion point. Appends (the common case for
 	// monotone timers) hit the fast path immediately.
@@ -166,11 +173,27 @@ func (cq *calendarScheduler) PeekWhen() (Time, bool) {
 	return e.when, true
 }
 
-// peek returns the minimum queued event without removing it, advancing the
-// day cursor past empty days. One full lap without a hit falls back to a
-// direct search over bucket heads (the queue is sparse relative to its day
-// span), which also re-anchors the cursor at the found event.
+// peek returns the minimum queued event without removing it. A head
+// filed under an earlier key than its own (a lazily applied Move) is
+// re-filed under its key first; it can only move later, so the cursor
+// stays valid.
 func (cq *calendarScheduler) peek() *Event {
+	for {
+		e := cq.head()
+		if e == nil || e.filedAtKey() {
+			return e
+		}
+		cq.unlink(e) // e was the cached head, so this clears the cache
+		e.fileAtKey()
+		cq.insert(e, cq.bucketOf(e.qwhen))
+	}
+}
+
+// head returns the event filed under the least key, advancing the day
+// cursor past empty days, and caches it. One full lap without a hit falls
+// back to a direct search over bucket heads (the queue is sparse relative
+// to its day span), which also re-anchors the cursor at the found event.
+func (cq *calendarScheduler) head() *Event {
 	if cq.min != nil {
 		return cq.min
 	}
@@ -179,7 +202,7 @@ func (cq *calendarScheduler) peek() *Event {
 	}
 	b, top := cq.cur, cq.top
 	for i := 0; i <= cq.mask; i++ {
-		if lst := cq.buckets[b]; len(lst) > 0 && lst[0].when < top {
+		if lst := cq.buckets[b]; len(lst) > 0 && lst[0].qwhen < top {
 			cq.cur, cq.top = b, top
 			cq.min = lst[0]
 			return lst[0]
@@ -194,7 +217,7 @@ func (cq *calendarScheduler) peek() *Event {
 		}
 	}
 	cq.cur = int(best.bucket)
-	cq.top = cq.dayEnd(best.when)
+	cq.top = cq.dayEnd(best.qwhen)
 	cq.min = best
 	return best
 }
@@ -224,6 +247,55 @@ func (cq *calendarScheduler) unlink(e *Event) {
 	cq.n--
 }
 
+// Move re-keys a queued event. A move to a later key leaves the event
+// filed where it is (see peek). A move to an earlier key re-files it at
+// once: within its bucket it slides toward the front past only the events
+// it now precedes; into another bucket it is an unlink and a push, so the
+// cursor step-back, the head cache and the resize rules apply exactly as
+// for a fresh insert.
+func (cq *calendarScheduler) Move(e *Event, when Time, seq uint64) {
+	earlier := movesEarlier(e, when, seq)
+	e.when, e.seq = when, seq
+	if !earlier {
+		return
+	}
+	idx := cq.bucketOf(when)
+	if idx != int(e.bucket) {
+		cq.unlink(e)
+		e.fileAtKey()
+		cq.push(e, idx)
+		return
+	}
+	e.fileAtKey()
+	if when < cq.top-cq.width {
+		// Same bucket, earlier lap of the calendar: step the cursor back,
+		// as push does.
+		cq.cur = idx
+		cq.top = cq.dayEnd(when)
+	}
+	b := cq.buckets[idx]
+	i := int(e.pos)
+	lo, hi := 0, i
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventLess(b[mid], e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(b[lo+1:i+1], b[lo:i])
+	b[lo] = e
+	for j := lo; j <= i; j++ {
+		b[j].pos = int32(j)
+	}
+	cq.inserts++
+	cq.shifted += i - lo
+	if cq.min != nil && eventLess(e, cq.min) {
+		cq.min = e
+	}
+}
+
 // resize rebuilds the calendar with count buckets and a day width
 // recalibrated from the current population's event spacing.
 func (cq *calendarScheduler) resize(count int) {
@@ -240,11 +312,12 @@ func (cq *calendarScheduler) rebucket(count int, width Time) {
 	cq.min = nil
 	for _, lst := range old {
 		for _, e := range lst {
-			if cq.n == 0 || e.when < cq.top-cq.width {
-				cq.cur = cq.bucketOf(e.when)
-				cq.top = cq.dayEnd(e.when)
+			idx := cq.bucketOf(e.qwhen)
+			if cq.n == 0 || e.qwhen < cq.top-cq.width {
+				cq.cur = idx
+				cq.top = cq.dayEnd(e.qwhen)
 			}
-			cq.insert(e)
+			cq.insert(e, idx)
 		}
 	}
 	cq.inserts, cq.shifted = 0, 0
@@ -263,7 +336,7 @@ func (cq *calendarScheduler) estimateWidth(buckets [][]*Event) Time {
 	for _, lst := range buckets {
 		for _, e := range lst {
 			if skip == 0 {
-				whens = append(whens, e.when)
+				whens = append(whens, e.qwhen)
 				skip = stride
 			}
 			skip--

@@ -12,12 +12,27 @@ import "fmt"
 //   - Push is called only with events not currently queued.
 //   - Remove is called only with events currently queued (Cancel removes
 //     eagerly, so the queue never holds canceled events).
+//   - Move is called only with events currently queued. The event stays
+//     queued and takes the given (when, seq) as its key: the queue
+//     dispatches it exactly where Remove followed by Push with that key
+//     would have, so the dispatch order stays the strict (when, seq)
+//     total order.
 //   - Pop returns the minimum event under (when, seq) and marks it
 //     not-queued; it returns nil when empty.
 //   - PeekWhen reports the minimum timestamp without dequeuing.
 //
-// Implementations own the Event's pos/bucket bookkeeping fields and the
-// queued flag; nothing else reads them.
+// Implementations own the Event's pos/bucket/qwhen/qseq bookkeeping
+// fields and the queued flag; nothing else reads them.
+//
+// Both implementations apply a Move to a later key lazily. The event stays
+// filed under its old, earlier key (qwhen, qseq), and only its key
+// changes; when it reaches the head of the queue it is re-filed under its
+// key instead of being returned. Every event is filed at or before its
+// key, so a head filed under its own key is the true minimum, and nothing
+// dispatches early. A timer re-armed later many times before it fires —
+// a flow completion re-rated by every solve — then costs two stores per
+// re-arm, plus one re-file whenever it reaches the head still filed
+// early. A Move to an earlier key is applied at once.
 type Scheduler interface {
 	// Name identifies the implementation ("heap", "calendar").
 	Name() string
@@ -29,6 +44,9 @@ type Scheduler interface {
 	PeekWhen() (when Time, ok bool)
 	// Remove deletes a queued event (precondition: e is queued).
 	Remove(e *Event)
+	// Move re-keys a queued event to (when, seq) (precondition: e is
+	// queued).
+	Move(e *Event, when Time, seq uint64)
 	// Len returns the number of queued events.
 	Len() int
 }
@@ -46,13 +64,27 @@ func NewScheduler(name string) (Scheduler, error) {
 	}
 }
 
-// eventLess is the dispatch order shared by every scheduler: time first,
-// scheduling sequence as the deterministic FIFO tie-break.
+// eventLess is the dispatch order shared by every scheduler, over the keys
+// events are filed under: time first, scheduling sequence as the
+// deterministic FIFO tie-break.
 func eventLess(a, b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
+	if a.qwhen != b.qwhen {
+		return a.qwhen < b.qwhen
 	}
-	return a.seq < b.seq
+	return a.qseq < b.qseq
+}
+
+// fileAtKey files e under its own key.
+func (e *Event) fileAtKey() { e.qwhen, e.qseq = e.when, e.seq }
+
+// filedAtKey reports whether e is filed under its own key, not an earlier
+// one left by a lazily applied Move.
+func (e *Event) filedAtKey() bool { return e.qwhen == e.when && e.qseq == e.seq }
+
+// movesEarlier reports whether re-keying e to (when, seq) puts it before
+// the key it is filed under — the one kind of Move applied at once.
+func movesEarlier(e *Event, when Time, seq uint64) bool {
+	return when < e.qwhen || (when == e.qwhen && seq < e.qseq)
 }
 
 // heapScheduler is the classic binary min-heap: O(log n) push/pop, simple
@@ -73,10 +105,21 @@ func (s *heapScheduler) PeekWhen() (Time, bool) {
 	if len(s.h) == 0 {
 		return 0, false
 	}
+	s.settleTop()
 	return s.h[0].when, true
 }
 
+// settleTop re-files lazily moved events at the top until the top is
+// filed under its own key (precondition: the heap is not empty).
+func (s *heapScheduler) settleTop() {
+	for e := s.h[0]; !e.filedAtKey(); e = s.h[0] {
+		e.fileAtKey()
+		s.down(0)
+	}
+}
+
 func (s *heapScheduler) Push(e *Event) {
+	e.fileAtKey()
 	e.queued = true
 	e.pos = int32(len(s.h))
 	s.h = append(s.h, e)
@@ -88,6 +131,7 @@ func (s *heapScheduler) Pop() *Event {
 	if n == 0 {
 		return nil
 	}
+	s.settleTop()
 	e := s.h[0]
 	last := s.h[n-1]
 	s.h[n-1] = nil
@@ -117,6 +161,15 @@ func (s *heapScheduler) Remove(e *Event) {
 	}
 	e.queued = false
 	e.pos = -1
+}
+
+func (s *heapScheduler) Move(e *Event, when Time, seq uint64) {
+	earlier := movesEarlier(e, when, seq)
+	e.when, e.seq = when, seq
+	if earlier {
+		e.fileAtKey()
+		s.up(int(e.pos))
+	}
 }
 
 // up sifts index i toward the root; reports whether it moved.

@@ -62,21 +62,26 @@ func (t Time) String() string {
 //     caller, who may Cancel them;
 //   - pooled events (Post): fire-and-forget, recycled through a free list
 //     the moment they dispatch — no handle ever escapes;
-//   - caller-owned events (Arm): embedded in a long-lived struct and
+//   - caller-owned events (Arm, Rearm): embedded in a long-lived struct and
 //     re-armed across many firings, eliminating per-firing allocation on
 //     hot timers (flow completion estimates, cwnd bumps, process sleeps).
 type Event struct {
 	when Time
 	seq  uint64
-	fn   func()
-	sim  *Sim
 
-	// Scheduler bookkeeping: queued is the authoritative in-queue flag
-	// (an Event zero value is not queued); pos is the heap index or
-	// in-bucket slot, bucket the calendar bucket index.
-	queued bool
+	// Scheduler bookkeeping: (qwhen, qseq) is the key the event is filed
+	// under — (when, seq), or an earlier key after a Move to a later one
+	// that the queue has not applied yet; pos is the heap index or
+	// in-bucket slot, bucket the calendar bucket index; queued is the
+	// authoritative in-queue flag (an Event zero value is not queued).
+	// The small fields sit together so an Event fits 64 bytes.
+	qwhen  Time
+	qseq   uint64
+	fn     func()
+	sim    *Sim
 	pos    int32
 	bucket int32
+	queued bool
 
 	canceled bool
 	daemon   bool      // housekeeping: never keeps Run alive (see AtDaemon)
@@ -297,6 +302,29 @@ func (s *Sim) Arm(e *Event, k EventKind, d Time, fn func()) {
 	if s.probe != nil {
 		s.probe.notePending(s.sched.Len())
 	}
+}
+
+// Rearm is Arm for an event that may still be queued. A queued event is
+// re-keyed in place with one Scheduler.Move instead of a Cancel and an
+// Arm; it takes its sequence number exactly where Arm would, so the
+// dispatch order is identical to Cancel followed by Arm. The hottest
+// timers (flow completion estimates, cwnd bumps) re-arm this way.
+func (s *Sim) Rearm(e *Event, k EventKind, d Time, fn func()) {
+	if !e.queued {
+		s.Arm(e, k, d, fn)
+		return
+	}
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	if e.daemon {
+		e.daemon = false
+		s.daemons--
+	}
+	s.seq++
+	e.fn = fn
+	e.kind = k
+	s.sched.Move(e, s.now+d, s.seq)
 }
 
 // Step executes the next pending event, advancing the clock. It returns
