@@ -21,8 +21,8 @@
 // 4096 with -nodes) with an engine probe attached and reports sim-events
 // per wall second, wall milliseconds per simulated second, allocations
 // per event, the event-queue high-water mark and the wall share of flow
-// rate recomputation. `-json BENCH_10.json` is the artifact the CI
-// events/sec floor checks against.
+// rate recomputation. `-json BENCH_10.json` writes the same rows as a
+// JSON artifact; the CI events/sec floors read the CSV on stdout.
 //
 // The -scheduler/-engine-stats/-nodes/-size/-cpuprofile/-memprofile
 // flags are registered through experiments.Options, the flag surface

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gfs/internal/metrics"
+	"gfs/internal/netsim"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -328,6 +329,42 @@ func TestMmpmonEngineHistRoundTrip(t *testing.T) {
 	}
 	if len(oldSnap.Hists) != 1 || oldSnap.Hists[0].HasP999 || oldSnap.Hists[0].N != 10 {
 		t.Errorf("pre-p999 hist parsed wrong: %+v", oldSnap.Hists)
+	}
+}
+
+// TestMmpmonSolverLine round-trips the rate-solver line and checks that a
+// line from an older writer, which still carries "escalations N", parses
+// to the same counters.
+func TestMmpmonSolverLine(t *testing.T) {
+	st := netsim.SolverStats{
+		FullSolves: 3, LocalSolves: 40, Placements: 70, PeriodicFulls: 1,
+		Expansions: 9, RegionConns: 812, BoundaryLinks: 65,
+	}
+	st.FrontierHist[0] = 2
+	st.FrontierHist[5] = 41
+	var buf bytes.Buffer
+	WriteMmpmonSolver(&buf, st)
+	want := MmpmonSolver{
+		Full: 3, Local: 40, Placements: 70, Periodic: 1, Expansions: 9,
+		RegionConns: 812, BoundaryLinks: 65,
+		FrontierHist: map[int]int64{0: 2, 5: 41},
+	}
+	old := "mmpmon solver full 3 local 40 placements 70 periodic 1 escalations 0 " +
+		"expansions 9 region_conns 812 boundary_links 65 b0 2 b5 41\n"
+	for name, line := range map[string]string{"current": buf.String(), "old": old} {
+		snap, err := ParseMmpmon(strings.NewReader(line))
+		if err != nil {
+			t.Fatalf("%s solver line failed to parse: %v\n%s", name, err, line)
+		}
+		if len(snap.Warnings) != 0 {
+			t.Errorf("%s solver line produced warnings: %v", name, snap.Warnings)
+		}
+		if len(snap.Solvers) != 1 || !reflect.DeepEqual(snap.Solvers[0], want) {
+			t.Errorf("%s solver line parsed to %+v, want %+v", name, snap.Solvers, want)
+		}
+	}
+	if strings.Contains(buf.String(), "escalations") {
+		t.Errorf("writer still emits escalations: %s", buf.String())
 	}
 }
 

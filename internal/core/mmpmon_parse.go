@@ -108,12 +108,13 @@ type MmpmonRate struct {
 
 // MmpmonSolver is one "mmpmon solver" line: a network's full vs
 // bottleneck-local solve counters and the frontier-size histogram
-// (log2 bucket index -> solve count; empty buckets are absent).
+// (log2 bucket index -> solve count; empty buckets are absent). Lines
+// from older writers also carry "escalations N"; it is ignored.
 type MmpmonSolver struct {
-	Full, Local, Placements           int64
-	Periodic, Escalations, Expansions int64
-	RegionConns, BoundaryLinks        int64
-	FrontierHist                      map[int]int64
+	Full, Local, Placements    int64
+	Periodic, Expansions       int64
+	RegionConns, BoundaryLinks int64
+	FrontierHist               map[int]int64
 }
 
 // ParseMmpmon parses a WriteMmpmon rendering. It is strict about the
@@ -256,7 +257,6 @@ func ParseMmpmon(r io.Reader) (*MmpmonSnapshot, error) {
 				kvInt(kv, "local", &sv.Local),
 				kvInt(kv, "placements", &sv.Placements),
 				kvInt(kv, "periodic", &sv.Periodic),
-				kvInt(kv, "escalations", &sv.Escalations),
 				kvInt(kv, "expansions", &sv.Expansions),
 				kvInt(kv, "region_conns", &sv.RegionConns),
 				kvInt(kv, "boundary_links", &sv.BoundaryLinks),

@@ -247,14 +247,14 @@ func WriteMmpmon(w io.Writer, s *sim.Sim, clusters []*Cluster) {
 }
 
 // WriteMmpmonSolver renders one network's rate-solver statistics as an
-// mmpmon line: full vs bottleneck-local solve counts, adaptive-expansion
-// and escalation counters, and the frontier-size histogram as b<bucket>
-// pairs (bucket b covers frontiers of up to 2^b conns; empty buckets are
-// omitted).
+// mmpmon line: full vs bottleneck-local solve counts, re-anchor and
+// adaptive-expansion counters, and the frontier-size histogram as
+// b<bucket> pairs (bucket b covers frontiers of up to 2^b conns; empty
+// buckets are omitted).
 func WriteMmpmonSolver(w io.Writer, st netsim.SolverStats) {
-	fmt.Fprintf(w, "mmpmon solver full %d local %d placements %d periodic %d escalations %d expansions %d region_conns %d boundary_links %d",
+	fmt.Fprintf(w, "mmpmon solver full %d local %d placements %d periodic %d expansions %d region_conns %d boundary_links %d",
 		st.FullSolves, st.LocalSolves, st.Placements, st.PeriodicFulls,
-		st.Escalations, st.Expansions, st.RegionConns, st.BoundaryLinks)
+		st.Expansions, st.RegionConns, st.BoundaryLinks)
 	for b, n := range st.FrontierHist {
 		if n > 0 {
 			fmt.Fprintf(w, " b%d %d", b, n)

@@ -389,8 +389,8 @@ func (o *Obs) SolverStats() netsim.SolverStats {
 }
 
 // WriteSolverReport prints the bottleneck-local rate solver's work:
-// full vs local solves, how often the tolerance check expanded or a
-// recompute escalated to the exact closure, and the log2 histogram of
+// full vs local solves, how many full solves were periodic re-anchors,
+// how often the tolerance check expanded, and the log2 histogram of
 // solved frontier sizes. Silent when no network ever solved (pure
 // SAN/engine benchmarks).
 func (o *Obs) WriteSolverReport(w io.Writer) {
@@ -398,9 +398,9 @@ func (o *Obs) WriteSolverReport(w io.Writer) {
 	if st.Solves() == 0 && st.Placements == 0 {
 		return
 	}
-	fmt.Fprintf(w, "rate solves: %d full, %d local, %d placements (%d periodic, %d escalations, %d expansions)\n",
+	fmt.Fprintf(w, "rate solves: %d full, %d local, %d placements (%d periodic, %d expansions)\n",
 		st.FullSolves, st.LocalSolves, st.Placements,
-		st.PeriodicFulls, st.Escalations, st.Expansions)
+		st.PeriodicFulls, st.Expansions)
 	fmt.Fprintf(w, "  re-solved %d conns against %d boundary links held fixed\n",
 		st.RegionConns, st.BoundaryLinks)
 	fmt.Fprintf(w, "  frontier conns per solve:")

@@ -451,19 +451,6 @@ func (c *Conn) scheduleCompletion() {
 		}
 		return
 	}
-	// Lazy re-arm, tolerance mode only: if the pending event already sits
-	// within tolerance of the new finish instant, keep it. Big solves
-	// nudge thousands of rates by a hair each, and the calendar-queue
-	// unlink+insert per nudge costs more than the whole water fill; a
-	// completion firing early is caught by advance() (nothing delivered,
-	// re-armed at the residue), one firing late delays the message by at
-	// most tolerance x its remaining transfer time — the same ε the rates
-	// themselves already carry.
-	if tol := c.net.SolveTolerance; tol > 0 && c.completionEvt.Queued() {
-		if d := float64(c.completionEvt.When()-c.net.Sim.Now()) - ns; d <= tol*ns && d >= -tol*ns {
-			return
-		}
-	}
 	// Round the completion instant up to a whole nanosecond so a
 	// sub-epsilon float remainder can never re-arm a zero-delay event in
 	// an endless same-timestamp loop. A pending event is re-keyed in
@@ -560,33 +547,23 @@ func (nw *Network) doRecompute() {
 	nw.recomputeScheduled = false
 	nw.lastRecompute = nw.Sim.Now()
 	nw.inRecompute = true
-	nw.localBudget = maxLocalPerRecompute
-	nw.drainWork = 0
 	defer func() { nw.inRecompute = false }()
 	for len(nw.dirtyLinks) > 0 || len(nw.dirtyConns) > 0 {
 		nw.solveDirty()
 	}
-	if nw.SolveTolerance > 0 {
-		// Pace the throttle by what the whole drain cost, not the last
-		// region's size. A drain is placements plus however many local
-		// rounds and expansions it took to settle; pacing by one small
-		// region would let an expensive cascade re-run immediately and
-		// hand back every cycle the local solver saved.
-		nw.lastSolveConns = nw.drainWork
-		if len(nw.deferredLinks) > 0 {
-			// Promote boundary expansions held over by solveLocal into the
-			// dirty frontier, but do NOT book a drain just for them: any
-			// flow event (a completion's deactivate, an arrival's
-			// placement) calls recompute, sees the dirt and schedules the
-			// next throttle-paced drain, merging the trunk expansion with
-			// whatever else accumulated. Traffic dense enough to drift a
-			// boundary past tolerance delivers that next event within a
-			// throttle interval or so, and an idle network has nothing
-			// left to re-rate — staleness stays bounded without spending a
-			// dedicated recompute event per expansion.
-			nw.dirtyLinks = append(nw.dirtyLinks, nw.deferredLinks...)
-			nw.deferredLinks = nw.deferredLinks[:0]
-		}
+	if len(nw.deferredLinks) > 0 {
+		// Tolerance mode: promote boundary expansions held over by
+		// solveLocal into the dirty frontier, but do NOT book a drain just
+		// for them: any flow event (a completion's deactivate, an
+		// arrival's placement) calls recompute, sees the dirt and
+		// schedules the next throttle-paced drain, merging the trunk
+		// expansion with whatever else accumulated. Traffic dense enough
+		// to drift a boundary past tolerance delivers that next event
+		// within a throttle interval or so, and an idle network has
+		// nothing left to re-rate — staleness stays bounded without
+		// spending a dedicated recompute event per expansion.
+		nw.dirtyLinks = append(nw.dirtyLinks, nw.deferredLinks...)
+		nw.deferredLinks = nw.deferredLinks[:0]
 	}
 }
 
@@ -595,9 +572,14 @@ func (nw *Network) doRecompute() {
 // frontier over whole connected components (exact); above 0 it first
 // places dirty conns at their paths' standing water levels (no solve at
 // all), then runs the bottleneck-local solve over whatever links the
-// placements and departures have drifted past the tolerance, escalating
-// back to the exact closure when adaptive expansion fails to settle or
-// the periodic re-anchor is due.
+// placements and departures have drifted past the tolerance, or the exact
+// closure over every busy link when the periodic re-anchor is due.
+//
+// A tolerance-mode drain terminates without a cap on its local rounds:
+// each local solve clears the frontier it was given, and a boundary it
+// violates is deferred to the next drain (deferredLinks), so only
+// deliveries inside the drain's advance passes can re-dirty links — and
+// every delivery retires a message.
 func (nw *Network) solveDirty() {
 	if nw.SolveTolerance <= 0 {
 		nw.solveClosure()
@@ -606,11 +588,7 @@ func (nw *Network) solveDirty() {
 	if len(nw.dirtyConns) > 0 {
 		nw.placeDirtyConns()
 	}
-	every := nw.FullSolveEvery
-	if every <= 0 {
-		every = defaultFullSolveEvery
-	}
-	if nw.localSince >= every {
+	if nw.localSince >= defaultFullSolveEvery {
 		// Periodic full solve: re-anchor every streaming conn at the exact
 		// max-min fixed point so placement and boundary-tolerance drift
 		// cannot accumulate. Seeding the frontier with every busy link
@@ -629,14 +607,6 @@ func (nw *Network) solveDirty() {
 	if len(nw.dirtyLinks) == 0 {
 		return // placements stayed within tolerance everywhere
 	}
-	if nw.localBudget <= 0 {
-		// Expansion ping-ponged past the cap: settle the remaining
-		// frontier exactly rather than keep chasing boundaries.
-		nw.stats.Escalations++
-		nw.solveClosure()
-		return
-	}
-	nw.localBudget--
 	nw.localSince++
 	nw.solveLocal()
 }
@@ -708,11 +678,10 @@ func (nw *Network) placeDirtyConns() {
 		}
 	}
 	nw.dirtyConns = nw.dirtyConns[:0]
-	nw.drainWork += placed
 	nw.stats.Placements += uint64(placed)
 	// A placement batch counts toward the periodic re-anchor: a workload
 	// that settles into pure placements must still be pulled back to the
-	// exact fixed point every FullSolveEvery rounds.
+	// exact fixed point every defaultFullSolveEvery rounds.
 	nw.localSince++
 }
 
@@ -759,7 +728,6 @@ func (nw *Network) solveClosure() {
 	}
 
 	nw.lastSolveConns = len(conns)
-	nw.drainWork += len(conns)
 	nw.stats.FullSolves++
 	nw.noteFrontier(len(conns))
 
@@ -855,7 +823,6 @@ func (nw *Network) solveLocal() {
 	}
 
 	nw.lastSolveConns = len(conns)
-	nw.drainWork += len(conns)
 	nw.stats.LocalSolves++
 	nw.noteFrontier(len(conns))
 
@@ -922,17 +889,19 @@ func (nw *Network) solveLocal() {
 		}
 		l.residual = l.cap - outside
 		// A standing bottleneck offers each region crosser its water level,
-		// not a cut of the leftover slack. On a saturated shared trunk the
-		// residual is near zero, and splitting it would starve the region's
-		// crossers while the trunk's incumbents keep their full fair share
-		// — guaranteeing a fairness violation and a trunk-wide re-solve
-		// after every local solve at its edge. Rating crossers at the
-		// standing level instead matches what the incumbents hold, the same
-		// reasoning as placeLevel for arrivals; any overcommit this books
-		// against a stale level is bounded by the drift check, which
-		// triggers the real trunk solve once it passes tolerance x cap.
-		if lvl := l.level * float64(l.compActive); lvl > l.residual {
-			l.residual = lvl
+		// not the leftover slack. On a saturated shared trunk the slack is
+		// near zero, and splitting it would starve the region's crossers
+		// while the trunk's incumbents keep their full fair share —
+		// guaranteeing a fairness violation and a trunk-wide re-solve
+		// after every local solve at its edge. Slack the trunk does have
+		// (a departure's share) belongs to every conn it bottlenecks, not
+		// to the region alone; it stays idle until the drift check
+		// re-solves the trunk. Rating crossers at the standing level
+		// matches what the incumbents hold, the same reasoning as
+		// placeLevel for arrivals; any overcommit this books against a
+		// stale level is bounded by the drift check too.
+		if l.level > 0 {
+			l.residual = l.level * float64(l.compActive)
 			if l.residual > l.cap {
 				l.residual = l.cap
 			}
@@ -958,9 +927,9 @@ func (nw *Network) solveLocal() {
 		}
 	}
 
-	// A-posteriori tolerance checks, all O(1) per boundary link. A
-	// boundary link seeds the next solve (growing the region across it)
-	// if any of:
+	// A-posteriori tolerance checks, O(1) per boundary link plus one pass
+	// over its region crossers. A boundary link seeds the next solve
+	// (growing the region across it) if any of:
 	//
 	//   - its total load has drifted past the tolerance since the last
 	//     solve that re-rated its own conns. This deliberately measures
@@ -990,7 +959,16 @@ func (nw *Network) solveLocal() {
 	//     region's level and a trunk's keeps every boundary a few percent
 	//     apart, and an additive-only trigger re-expands on that noise
 	//     every drain — the expansion ping-pong costs more than the
-	//     closure it was avoiding.
+	//     closure it was avoiding;
+	//   - a region crosser's new rate is more than 1.5x above the link's
+	//     own standing bottleneck level plus the same slop. The outside
+	//     conns last drained here at that level, so this link is their
+	//     bottleneck and max-min fairness owes them a share of what the
+	//     region holds. The level offer above gives the region level x
+	//     crossers in all; when some crossers are held lower elsewhere
+	//     (say, zeroed by a failed trunk), the fill hands their share to
+	//     the others, the load does not move, and the drift check stays
+	//     silent.
 	//
 	// The mean-rate test can miss a single outlier hiding among many
 	// slow outside conns; the periodic full solve bounds how long such a
@@ -1014,12 +992,19 @@ func (nw *Network) solveLocal() {
 		}
 		d := l.used - l.solvedUsed
 		violated := d > tol*l.cap || d < -tol*l.cap
-		if !violated && !math.IsInf(l.compLevel, 1) && len(l.conns) > 0 {
-			lvl := 1.5 * (l.compLevel + tol*l.cap/float64(len(l.conns)))
-			if outN := len(l.conns) - l.compActive; outN > 0 {
-				outLoad := l.used - l.compNew
-				if outLoad > lvl*float64(outN) {
-					violated = true
+		if outN := len(l.conns) - l.compActive; !violated && outN > 0 {
+			slop := tol * l.cap / float64(len(l.conns))
+			// The outside conns hold far more than the region...
+			violated = !math.IsInf(l.compLevel, 1) &&
+				l.used-l.compNew > 1.5*(l.compLevel+slop)*float64(outN)
+			if !violated && l.level > 0 {
+				// ...or a region conn far more than the outside conns.
+				hi := 1.5 * (l.level + slop)
+				for _, c := range l.compList {
+					if c.rate > hi {
+						violated = true
+						break
+					}
 				}
 			}
 		}

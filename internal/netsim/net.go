@@ -93,8 +93,7 @@ type Network struct {
 	// 134 ms block transfers). Zero disables scaling.
 	RecomputePerConn sim.Time
 
-	lastSolveConns int     // cost of the last recompute, for the scaled throttle
-	drainWork      int     // conns touched so far in the current tolerance drain
+	lastSolveConns int     // conns in the last solve, for the scaled throttle
 	deferredLinks  []*Link // boundary expansions held over for the next paced drain
 
 	// SolveTolerance > 0 makes rate recomputation bottleneck-local: a
@@ -109,35 +108,22 @@ type Network struct {
 	// with it byte-identical replays of every existing seeded run.
 	SolveTolerance float64
 
-	// FullSolveEvery bounds the drift tolerance-mode can accumulate: after
-	// this many consecutive local solves, one exact closure solve runs over
-	// every busy link and re-anchors all rates at the true max-min fixed
-	// point. Zero means the default (128). Ignored when SolveTolerance is 0.
-	FullSolveEvery int
-
-	localSince  int // local solves since the last full re-anchor
-	localBudget int // local solves left in this recompute before escalating
+	localSince int // local rounds since the last full re-anchor
 
 	stats SolverStats
 }
 
-// defaultFullSolveEvery applies when FullSolveEvery is zero. The interval
-// is a staleness/cost trade that interacts with how boundaries are offered
-// capacity: when boundary links rationed region crossers to their residual
-// slack, starved crossers re-expanded constantly and frequent fulls (128)
-// were needed to damp the churn; with standing-level offers the expansion
-// pressure is gone and a sparser re-anchor is measurably faster at 1024
-// nodes while the drift and fairness checks still bound per-link error.
+// defaultFullSolveEvery bounds the drift tolerance mode can accumulate:
+// after this many local rounds (local solves and placement batches), one
+// exact closure solve runs over every busy link and re-anchors all rates
+// at the true max-min fixed point. The interval is a staleness/cost trade
+// that interacts with how boundaries are offered capacity: when boundary
+// links rationed region crossers to their residual slack, starved crossers
+// re-expanded constantly and frequent fulls (128) were needed to damp the
+// churn; with standing-level offers the expansion pressure is gone and a
+// sparser re-anchor is measurably faster at 1024 nodes while the drift and
+// fairness checks still bound per-link error.
 const defaultFullSolveEvery = 512
-
-// maxLocalPerRecompute caps how many local solves one recompute drain may
-// run before escalating to the exact closure: the cap turns a pathological
-// ping-pong between neighboring regions into a single exact solve. It is
-// deliberately generous — boundary-fairness expansions legitimately take
-// several rounds to swallow a busy trunk, and a local round touches ~100
-// conns where the closure at 1024+ nodes touches tens of thousands, so
-// escalating early costs far more than the rounds it saves.
-const maxLocalPerRecompute = 64
 
 // frontierBuckets is the number of log2 component-size buckets in the
 // solver's frontier histogram: bucket i holds solves whose component had
@@ -149,8 +135,8 @@ const frontierBuckets = 24
 // deterministic across identical seeded runs.
 type SolverStats struct {
 	// FullSolves counts exact connected-component closure solves — every
-	// solve at SolveTolerance 0, plus periodic re-anchors and escalations
-	// in tolerance mode.
+	// solve at SolveTolerance 0, plus the periodic re-anchors of tolerance
+	// mode.
 	FullSolves uint64
 	// LocalSolves counts tolerance-bounded bottleneck-local solves.
 	LocalSolves uint64
@@ -161,11 +147,9 @@ type SolverStats struct {
 	// Expansions counts local solves that violated a boundary link's
 	// tolerance and re-seeded the frontier with it.
 	Expansions uint64
-	// PeriodicFulls counts full solves forced by FullSolveEvery.
+	// PeriodicFulls counts the tolerance-mode re-anchors: full solves run
+	// every defaultFullSolveEvery local rounds.
 	PeriodicFulls uint64
-	// Escalations counts recompute drains that hit maxLocalPerRecompute
-	// and fell back to the exact closure.
-	Escalations uint64
 	// RegionConns is the cumulative number of conns re-solved.
 	RegionConns uint64
 	// BoundaryLinks is the cumulative number of links held fixed at the
@@ -183,7 +167,6 @@ func (s *SolverStats) Add(other SolverStats) {
 	s.Placements += other.Placements
 	s.Expansions += other.Expansions
 	s.PeriodicFulls += other.PeriodicFulls
-	s.Escalations += other.Escalations
 	s.RegionConns += other.RegionConns
 	s.BoundaryLinks += other.BoundaryLinks
 	for i := range s.FrontierHist {
@@ -429,13 +412,6 @@ func (nw *Network) DuplexLink(name string, a, b *Node, rate units.BitsPerSec, de
 	fwd = nw.NewLink(name+"/fwd", a, b, rate, delay)
 	rev = nw.NewLink(name+"/rev", b, a, rate, delay)
 	return fwd, rev
-}
-
-// MonitorLink attaches a rate monitor with the given binning interval to a
-// link and returns it.
-func (nw *Network) MonitorLink(l *Link, interval sim.Time) *metrics.RateMonitor {
-	l.Monitor = metrics.NewRateMonitor(nw.Sim, l.name, interval)
-	return l.Monitor
 }
 
 // Nodes returns all nodes.

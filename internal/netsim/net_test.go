@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -197,7 +198,8 @@ func TestLoopbackConn(t *testing.T) {
 
 func TestMonitorRecordsLinkBytes(t *testing.T) {
 	s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
-	mon := nw.MonitorLink(nw.Links()[0], sim.Second)
+	mon := metrics.NewRateMonitor(s, "ab", sim.Second)
+	nw.Links()[0].Monitor = mon
 	c := nw.DialTCP(a, b, noWindow)
 	s.Schedule(0, func() { c.Send(250*units.MB, nil) })
 	s.Run()
@@ -283,7 +285,8 @@ func TestPropertyByteConservation(t *testing.T) {
 			sizesRaw = sizesRaw[:40]
 		}
 		s, nw, a, b := twoNodeNet(units.Gbps, sim.Millisecond)
-		mon := nw.MonitorLink(nw.Links()[0], sim.Second)
+		mon := metrics.NewRateMonitor(s, "ab", sim.Second)
+		nw.Links()[0].Monitor = mon
 		c := nw.DialTCP(a, b, noWindow)
 		var want units.Bytes
 		s.Schedule(0, func() {

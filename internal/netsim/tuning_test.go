@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -75,7 +76,8 @@ func TestMinRecomputeIntervalStillConservesBytes(t *testing.T) {
 	a := nw.NewNode("a")
 	b := nw.NewNode("b")
 	nw.DuplexLink("ab", a, b, units.Gbps, sim.Millisecond)
-	mon := nw.MonitorLink(nw.Links()[0], sim.Second)
+	mon := metrics.NewRateMonitor(s, "ab", sim.Second)
+	nw.Links()[0].Monitor = mon
 	conns := make([]*Conn, 4)
 	var want units.Bytes
 	s.Schedule(0, func() {

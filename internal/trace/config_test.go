@@ -31,90 +31,98 @@ func export(t *testing.T, tr *Tracer) string {
 	return buf.String()
 }
 
-// TestOptionsMatchLegacySetters: for every retention/sampling mode, a
-// tracer built with New(options...) must behave byte-identically to one
-// built with New() + the deprecated setters.
-func TestOptionsMatchLegacySetters(t *testing.T) {
+// TestConfigureModes: each retention/sampling mode set through Configure
+// behaves as documented against a plain buffering tracer fed the same
+// workload. (bounded_test.go covers each mode in depth.)
+func TestConfigureModes(t *testing.T) {
+	full := New()
+	emitWorkload(full)
+	want := export(t, full)
+
 	t.Run("buffer", func(t *testing.T) {
-		a, b := New(), New(WithSampleOneIn(1))
-		emitWorkload(a)
+		b := New()
+		b.Configure(Config{SampleOneIn: 1})
 		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("buffer exports differ")
+		if export(t, b) != want {
+			t.Fatal("SampleOneIn 1 export differs from an unsampled one")
 		}
 	})
 
 	t.Run("sampled", func(t *testing.T) {
-		a := New()
-		a.SetSampleOneIn(4)
-		b := New(WithSampleOneIn(4))
+		a, b := New(), New()
+		a.Configure(Config{SampleOneIn: 4})
+		b.Configure(Config{SampleOneIn: 4})
 		emitWorkload(a)
 		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("sampled exports differ")
+		if export(t, a) != export(t, b) {
+			t.Fatal("identically sampled exports differ")
 		}
-		if a.TotalEmitted() != b.TotalEmitted() {
-			t.Fatalf("emitted %d vs %d", a.TotalEmitted(), b.TotalEmitted())
+		if a.TotalEmitted() != b.TotalEmitted() || a.TotalEmitted() >= full.TotalEmitted() {
+			t.Fatalf("emitted %d and %d of %d", a.TotalEmitted(), b.TotalEmitted(), full.TotalEmitted())
 		}
 	})
 
 	t.Run("stream", func(t *testing.T) {
-		var wa, wb bytes.Buffer
-		a := New()
-		a.SetStream(&wa)
-		b := New(WithStream(&wb))
-		emitWorkload(a)
+		var w bytes.Buffer
+		b := New()
+		b.Configure(Config{Stream: &w})
 		emitWorkload(b)
-		if err := a.FlushStream(); err != nil {
-			t.Fatal(err)
-		}
 		if err := b.FlushStream(); err != nil {
 			t.Fatal(err)
 		}
-		if wa.String() != wb.String() {
-			t.Fatal("streamed bytes differ")
-		}
-		if wa.Len() == 0 {
-			t.Fatal("stream produced nothing")
+		if w.String() != want {
+			t.Fatal("streamed bytes differ from the buffered export")
 		}
 	})
 
 	t.Run("ring", func(t *testing.T) {
-		a := New()
-		a.SetRing(16)
-		b := New(WithRing(16))
-		emitWorkload(a)
+		b := New()
+		b.Configure(Config{Ring: 16})
 		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("ring exports differ")
-		}
-		if b.Len() != 16 {
-			t.Fatalf("ring retained %d, want 16", b.Len())
+		if n := len(b.Events()); n != 16 {
+			t.Fatalf("ring retained %d, want 16", n)
 		}
 	})
 
 	t.Run("discard+observer", func(t *testing.T) {
-		var na, nb int
-		a := New()
-		a.SetDiscard()
-		a.SetObserver(func(e Event, args []Arg) { na++ })
-		b := New(WithDiscard(), WithObserver(func(e Event, args []Arg) { nb++ }))
-		emitWorkload(a)
+		var n uint64
+		b := New()
+		b.Configure(Config{Discard: true, Observer: func(e Event, args []Arg) { n++ }})
 		emitWorkload(b)
-		if na != nb || na == 0 {
-			t.Fatalf("observer counts differ: %d vs %d", na, nb)
+		if n != full.TotalEmitted() || n == 0 {
+			t.Fatalf("observer saw %d events, want %d", n, full.TotalEmitted())
 		}
-		if a.Len() != 0 || b.Len() != 0 {
+		if b.Len() != 0 {
 			t.Fatal("discard mode retained events")
 		}
 	})
+}
+
+// TestConfigureReplaces: Configure sets the whole configuration, so a
+// second call with the zero Config drops the earlier sampling, observer
+// and ring.
+func TestConfigureReplaces(t *testing.T) {
+	var seen int
+	tr := New()
+	tr.Configure(Config{SampleOneIn: 4, Ring: 8, Observer: func(e Event, args []Arg) { seen++ }})
+	tr.Configure(Config{})
+	emitWorkload(tr)
+	full := New()
+	emitWorkload(full)
+	if export(t, tr) != export(t, full) {
+		t.Fatal("zero Config did not restore the buffer-everything tracer")
+	}
+	if seen != 0 || tr.SampleOneIn() != 0 {
+		t.Fatalf("observer saw %d events, sampling %d after reconfigure", seen, tr.SampleOneIn())
+	}
 }
 
 // TestConfigPrecedence: stream wins over ring wins over discard, matching
 // the documented resolution order.
 func TestConfigPrecedence(t *testing.T) {
 	var w bytes.Buffer
-	tr := New(WithStream(&w), WithRing(8), WithDiscard())
+	tr := New()
+	tr.Configure(Config{Stream: &w, Ring: 8, Discard: true})
 	emitWorkload(tr)
 	if err := tr.FlushStream(); err != nil {
 		t.Fatal(err)
@@ -126,7 +134,8 @@ func TestConfigPrecedence(t *testing.T) {
 		t.Fatal("stream mode retained events")
 	}
 
-	tr2 := New(WithRing(8), WithDiscard())
+	tr2 := New()
+	tr2.Configure(Config{Ring: 8, Discard: true})
 	emitWorkload(tr2)
 	if n := len(tr2.Events()); n != 8 {
 		t.Fatalf("ring did not win precedence over discard: %d events", n)
